@@ -211,15 +211,6 @@ type ClusterScenario struct {
 	// retaining records.
 	RequestsOut io.Writer
 
-	// Shards fans the replica-stepping half of the simulation loop out
-	// over this many worker goroutines (slot i belongs to shard i mod
-	// Shards), with routing and admission kept on the coordinating
-	// goroutine in arrival order. Results are byte-identical to the
-	// sequential run. 0 or 1 means sequential; sharding requires a
-	// static unified fleet (no disaggregation, autoscaling, fleet
-	// events, telemetry, or RequestsOut).
-	Shards int
-
 	// Autoscaler makes the fleet dynamic: the policy re-evaluates the
 	// fleet size every ScaleTick of simulated time, clamped to
 	// [MinReplicas, MaxReplicas]. ScaleNone (the zero value) keeps the
@@ -380,9 +371,6 @@ func (sc ClusterScenario) Validate() error {
 		return &ConfigError{Field: "TraceStream", Value: sc.TraceStream,
 			Reason: "set either Trace or TraceStream, not both"}
 	}
-	if err := sc.validateSharding(); err != nil {
-		return err
-	}
 	if _, err := internalClasses(sc.Classes); err != nil {
 		return &ConfigError{Field: "Classes", Value: len(sc.Classes), Reason: "invalid traffic class", Err: err}
 	}
@@ -437,35 +425,6 @@ func (sc ClusterScenario) Validate() error {
 		if err := rs.apply(sc.Config).Validate(); err != nil {
 			return err
 		}
-	}
-	return nil
-}
-
-// validateSharding checks that a sharded scenario stays inside the
-// configuration space whose sequential bit-identity the sharded loop
-// guarantees (see internal/cluster/shard.go).
-func (sc ClusterScenario) validateSharding() error {
-	if sc.Shards < 0 {
-		return &ConfigError{Field: "Shards", Value: sc.Shards, Reason: "must not be negative"}
-	}
-	if sc.Shards <= 1 {
-		return nil
-	}
-	reason := ""
-	switch {
-	case sc.disaggregated():
-		reason = "sharding requires a unified fleet (no prefill/decode pools)"
-	case sc.Autoscaler != ScaleNone:
-		reason = "sharding requires a static fleet (no autoscaler)"
-	case len(sc.FleetEvents) > 0:
-		reason = "sharding requires a static fleet (no fleet events)"
-	case sc.telemetry() != nil:
-		reason = "sharding is incompatible with telemetry recording"
-	case sc.RequestsOut != nil:
-		reason = "sharding is incompatible with a per-request row sink (completion order is nondeterministic across shards)"
-	}
-	if reason != "" {
-		return &ConfigError{Field: "Shards", Value: sc.Shards, Reason: reason}
 	}
 	return nil
 }
@@ -714,7 +673,6 @@ func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster
 		Obs:            rec,
 		StreamMetrics:  sc.StreamMetrics,
 		OnRecord:       onRecord,
-		Shards:         sc.Shards,
 	})
 }
 

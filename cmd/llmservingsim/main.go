@@ -105,7 +105,6 @@ func main() {
 		classSpec    = flag.String("classes", "", "traffic classes name:dist:rate[:ttft_ms[:tpot_ms[:prefix_toks]]],... (synthesises a mixed trace)")
 		requests     = flag.Int("requests", 0, "request count for -classes/-synth traffic (overrides -synth-n; spelled for large -stream runs)")
 		stream       = flag.Bool("stream", false, "pull -classes arrivals from the generator and stream per-request metrics: memory stays flat in the request count (enables the cluster layer)")
-		shards       = flag.Int("shards", 0, "cluster mode: fan replica stepping over N worker goroutines, byte-identical to sequential (static unified fleets; enables the cluster layer)")
 		rampSpec     = flag.String("ramp", "", "arrival-rate ramp from:to[:over_s] for -classes traffic")
 		popSpec      = flag.String("population", "", "client population clients:rate_dist:skew[:diurnal_amp:diurnal_period_s[:burst_factor:burst_frac:burst_mean_s]] generating session traffic over -classes (enables the cluster layer)")
 		sessSpecFlag = flag.String("sessions", "", "session structure mean_turns:think_mean_s:think_sigma[:max_context] for -population traffic (default 4:10:0.6:4096)")
@@ -410,7 +409,7 @@ func main() {
 	}()
 
 	if *replicas > 1 || len(fleet) > 0 || len(fleetEvents) > 0 || autoscaler != llmservingsim.ScaleNone ||
-		*stream || *shards > 1 || *popSpec != "" || *replayPath != "" {
+		*stream || *popSpec != "" || *replayPath != "" {
 		sc := llmservingsim.ClusterScenario{
 			Name:               "cli",
 			Config:             cfg,
@@ -438,13 +437,11 @@ func main() {
 			Telemetry:          tel,
 			TraceStream:        arrivals,
 			StreamMetrics:      *stream,
-			Shards:             *shards,
 		}
-		if *stream && *shards <= 1 && *output != "" {
-			// Stream the per-request table as requests complete; the
-			// post-hoc dump has no retained records to write from.
-			// (Sharded runs complete out of ID order across shards, so
-			// they skip the table; Validate rejects the combination.)
+		if *stream && *output != "" {
+			// Stream the per-request table as requests complete (rows
+			// in completion order); the post-hoc dump has no retained
+			// records to write from.
 			f, err := os.Create(*output + "-requests.tsv")
 			if err != nil {
 				fatal(err)

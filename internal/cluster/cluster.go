@@ -169,20 +169,8 @@ type Config struct {
 	// not arrival order). This is the streaming per-request TSV sink:
 	// with StreamMetrics it replaces the post-hoc Report.Records dump.
 	// The record is recycled after the callback returns, so the callback
-	// must not retain the pointer. Incompatible with Shards > 1.
+	// must not retain the pointer.
 	OnRecord func(*metrics.RequestRecord)
-
-	// Shards > 1 partitions the replicas across that many worker
-	// goroutines (slot i belongs to shard i mod Shards). All routing and
-	// admission stays on the coordinator in arrival order, and replica
-	// stepping between arrivals fans out with an epoch barrier per
-	// arrival instant, so the report is bit-identical to the sequential
-	// (Shards <= 1) run. Only static unified fleets qualify: no
-	// disaggregation, autoscaling, fleet events, telemetry recorder, or
-	// OnRecord sink — and the replica factory must build fully
-	// independent replicas (no shared mutable state such as a common
-	// engine instance). Counts above the replica count are clamped.
-	Shards int
 }
 
 // lifecycle is a replica's position in the dynamic-fleet state machine.
@@ -251,10 +239,6 @@ type Cluster struct {
 	recFree     []*metrics.RequestRecord
 	routedTo    []int
 	prefillSrcM map[int]int32
-
-	// shards is non-nil only while a sharded run (Config.Shards > 1) is
-	// in flight; replica event times then live in per-shard heaps.
-	shards []*clusterShard
 
 	// Disaggregation state: the stage-2 router, per-pool scalers and
 	// clamps, per-record prefill source slots (for handoff pricing on
@@ -357,26 +341,6 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	} else if cfg.PrefillScaler != nil {
 		return nil, fmt.Errorf("cluster: per-pool autoscalers require a disaggregated fleet")
-	}
-	if cfg.Shards < 0 {
-		return nil, fmt.Errorf("cluster: negative shard count %d", cfg.Shards)
-	}
-	if cfg.Shards > 1 {
-		// Sharding's bit-identity argument needs replicas that never
-		// interact mid-epoch and controls that never fire: static
-		// unified fleets with no cross-replica observer or row sink.
-		switch {
-		case disagg:
-			return nil, fmt.Errorf("cluster: sharding requires a unified fleet (disaggregated handoffs cross shards)")
-		case cfg.Autoscaler != nil || cfg.PrefillScaler != nil:
-			return nil, fmt.Errorf("cluster: sharding requires a static fleet (no autoscaler)")
-		case len(cfg.Events) > 0:
-			return nil, fmt.Errorf("cluster: sharding requires a static fleet (no fleet events)")
-		case cfg.Obs != nil:
-			return nil, fmt.Errorf("cluster: sharding cannot preserve the telemetry recorder's global event order; run with Shards <= 1 or without Obs")
-		case cfg.OnRecord != nil:
-			return nil, fmt.Errorf("cluster: sharding cannot order the OnRecord row stream; run with Shards <= 1")
-		}
 	}
 	if cfg.MinReplicas < 0 || cfg.MaxReplicas < 0 {
 		return nil, fmt.Errorf("cluster: negative replica bounds [%d, %d]", cfg.MinReplicas, cfg.MaxReplicas)
@@ -582,29 +546,6 @@ func (c *Cluster) prefillSrcOf(id int) int32 {
 		return c.prefillOf[id]
 	}
 	return c.prefillSrcM[id]
-}
-
-// effShards returns the worker count a run will use: Config.Shards
-// clamped to [1, replica count].
-func (c *Cluster) effShards() int {
-	n := c.cfg.Shards
-	if n > len(c.replicas) {
-		n = len(c.replicas)
-	}
-	if n < 1 {
-		n = 1
-	}
-	return n
-}
-
-// setEvent records replica i's next event time in whichever heap owns
-// it: the shard heap during a sharded run, the global heap otherwise.
-func (c *Cluster) setEvent(i int, ev simtime.Time) {
-	if c.shards != nil {
-		c.shards[i%len(c.shards)].events.update(i/len(c.shards), ev)
-		return
-	}
-	c.events.update(i, ev)
 }
 
 // complete records one request finishing on its replica (placement was
@@ -848,7 +789,7 @@ type arrivalSource struct {
 }
 
 // run wires the metrics sink (retained records or streaming
-// accumulators), then executes the simulation sequentially or sharded.
+// accumulators), then executes the simulation.
 func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 	c.retain = !c.cfg.StreamMetrics
 	if c.retain {
@@ -869,18 +810,12 @@ func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 		c.nextTick = simtime.Time(c.cfg.ScaleTick)
 	}
 	c.mark(0)
-	if n := c.effShards(); n > 1 {
-		if err := c.runSharded(ctx, src, n); err != nil {
-			return nil, err
-		}
-	} else {
-		c.events.init(len(c.replicas))
-		for i := range c.replicas {
-			c.refreshEvent(i)
-		}
-		if err := c.runSequential(ctx, src); err != nil {
-			return nil, err
-		}
+	c.events.init(len(c.replicas))
+	for i := range c.replicas {
+		c.refreshEvent(i)
+	}
+	if err := c.runSequential(ctx, src); err != nil {
+		return nil, err
 	}
 	return c.report(), nil
 }
@@ -1016,16 +951,7 @@ func (c *Cluster) routeArrival(r workload.Request) error {
 	}
 	target := states[idx].Index
 	rec.Replica = target
-	if err := c.pushTo(target, r); err != nil {
-		return err
-	}
-	if c.shards != nil && !c.retain {
-		// Hand the in-flight record to the shard that owns the target
-		// replica, so its completion callback finds it locally.
-		delete(c.inflight, rec.ID)
-		c.shards[target%len(c.shards)].inflight[rec.ID] = rec
-	}
-	return nil
+	return c.pushTo(target, r)
 }
 
 // nextControl returns the earliest pending control event: a
@@ -1416,7 +1342,7 @@ func (c *Cluster) advanceTo(ctx context.Context, t simtime.Time) error {
 func (c *Cluster) refreshEvent(i int) {
 	rep := c.replicas[i]
 	if rep.state == stateRetired || rep.state == stateFailed {
-		c.setEvent(i, simtime.Forever)
+		c.events.update(i, simtime.Forever)
 		return
 	}
 	ev, ok := rep.sim.NextEventTime()
@@ -1428,7 +1354,7 @@ func (c *Cluster) refreshEvent(i int) {
 		}
 		ev = simtime.Forever
 	}
-	c.setEvent(i, ev)
+	c.events.update(i, ev)
 }
 
 // clampReplicas bounds a scaling decision to [lo, hi].

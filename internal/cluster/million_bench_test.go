@@ -5,10 +5,9 @@ package cluster
 // sketch accumulators, never materialize the trace or the record
 // table. BenchmarkMillionRequest is the ISSUE 9 acceptance benchmark
 // (1M requests over 256 roofline replicas; per-request allocations
-// must stay flat between the 100k and 1M runs). BenchmarkShardedCluster
-// measures the epoch-barrier sharded loop against the same run on one
-// shard. Both are tracked in BENCH_hotpath.json and guarded by the CI
-// benchmark-regression job (cmd/benchdiff).
+// must stay flat between the 100k and 1M runs). It is tracked in
+// BENCH_hotpath.json and guarded by the CI benchmark-regression job
+// (cmd/benchdiff).
 
 import (
 	"context"
@@ -29,7 +28,7 @@ func millionClasses() []workload.Class {
 	return cls
 }
 
-func runStreamCluster(b *testing.B, backend string, replicas, n, shards int, classes []workload.Class) {
+func runStreamCluster(b *testing.B, backend string, replicas, n int, classes []workload.Class) {
 	b.Helper()
 	factory := backendReplicaFactory(b, backend)
 	b.ReportAllocs()
@@ -45,7 +44,6 @@ func runStreamCluster(b *testing.B, backend string, replicas, n, shards int, cla
 			Router:        r,
 			Classes:       classes,
 			StreamMetrics: true,
-			Shards:        shards,
 		})
 		if err != nil {
 			b.Fatal(err)
@@ -73,7 +71,7 @@ func BenchmarkMillionRequest(b *testing.B) {
 	const replicas = 256
 	for _, n := range []int{100000, 1000000} {
 		b.Run(fmt.Sprintf("replicas=%d/reqs=%d", replicas, n), func(b *testing.B) {
-			runStreamCluster(b, "roofline", replicas, n, 0, millionClasses())
+			runStreamCluster(b, "roofline", replicas, n, millionClasses())
 		})
 	}
 }
@@ -143,25 +141,4 @@ func BenchmarkSessionStream(b *testing.B) {
 			}
 		}
 	})
-}
-
-// BenchmarkShardedCluster tracks the coordination cost of the
-// epoch-barrier sharded loop: the same saturated 16-replica roofline
-// run at 1, 2, and 8 shards. shards=1 takes the sequential path, so
-// the spread across sub-benchmarks is pure sharding overhead (epoch
-// barriers, worker wake-ups) and must stay within single-digit
-// percent. Wall-clock *speedup* from sharding needs a multi-core host
-// and a step-dominated backend (astra), neither of which CI
-// guarantees, so this guard pins the thing sharding must never
-// regress: the cost of turning it on.
-func BenchmarkShardedCluster(b *testing.B) {
-	const (
-		replicas = 16
-		n        = 20000
-	)
-	for _, shards := range []int{1, 2, 8} {
-		b.Run(fmt.Sprintf("replicas=%d/reqs=%d/shards=%d", replicas, n, shards), func(b *testing.B) {
-			runStreamCluster(b, "roofline", replicas, n, shards, scaleClasses())
-		})
-	}
 }

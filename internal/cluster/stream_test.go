@@ -150,86 +150,6 @@ func TestStreamMetricsMatchesExact(t *testing.T) {
 	}
 }
 
-// TestShardedRunMatchesSequential is the sharding acceptance pin: for
-// both metric modes and with rejections in play, every shard count
-// must produce a byte-identical report to the sequential run (shard
-// counts above the replica count clamp).
-func TestShardedRunMatchesSequential(t *testing.T) {
-	run := func(shards int, streaming bool, admission string, limit int64) *Report {
-		a, err := NewAdmission(admission, limit)
-		if err != nil {
-			t.Fatal(err)
-		}
-		c, err := New(Config{
-			Replicas:      4,
-			NewReplica:    newReplicaFactory(t),
-			Classes:       testClasses(),
-			Admission:     a,
-			StreamMetrics: streaming,
-			Shards:        shards,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		rep, err := c.Run(testTrace(t, 60))
-		if err != nil {
-			t.Fatal(err)
-		}
-		return rep
-	}
-	for _, streaming := range []bool{false, true} {
-		for _, adm := range []struct {
-			name  string
-			limit int64
-		}{{AdmitAll, 0}, {AdmitQueueCap, 2}} {
-			want := reportFingerprint(t, run(0, streaming, adm.name, adm.limit), !streaming)
-			for _, shards := range []int{2, 3, 8} {
-				got := reportFingerprint(t, run(shards, streaming, adm.name, adm.limit), !streaming)
-				if !bytes.Equal(want, got) {
-					t.Errorf("streaming=%v admission=%s shards=%d diverges from sequential:\n%s\nvs\n%s",
-						streaming, adm.name, shards, want, got)
-				}
-			}
-		}
-	}
-}
-
-// TestShardConfigValidation pins the restrictions sharding's
-// bit-identity argument depends on.
-func TestShardConfigValidation(t *testing.T) {
-	base := func() Config {
-		return Config{Replicas: 2, NewReplica: newReplicaFactory(t), Shards: 2}
-	}
-	if _, err := New(Config{Replicas: 2, NewReplica: newReplicaFactory(t), Shards: -1}); err == nil {
-		t.Fatal("negative shard count must fail")
-	}
-	cfg := base()
-	scaler, err := NewAutoscaler(ScaleQueueDepth, AutoscalerConfig{QueueTarget: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg.Autoscaler = scaler
-	cfg.ScaleTick = simtime.Second
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding with an autoscaler must fail")
-	}
-	cfg = base()
-	cfg.Events = []workload.FleetEvent{{Time: simtime.Time(simtime.Second), Kind: workload.EventDrain, Replica: 1}}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding with fleet events must fail")
-	}
-	cfg = base()
-	cfg.OnRecord = func(*metrics.RequestRecord) {}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding with an OnRecord sink must fail")
-	}
-	cfg = base()
-	cfg.Roles = []Role{RolePrefill, RoleDecode}
-	if _, err := New(cfg); err == nil {
-		t.Fatal("sharding a disaggregated fleet must fail")
-	}
-}
-
 // TestOnRecordStreamsEveryTerminalRecord checks the streaming row
 // sink: every request's final record is delivered exactly once, and —
 // reordered by ID — the rows match the retained run's records.

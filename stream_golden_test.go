@@ -1,11 +1,10 @@
 package llmservingsim_test
 
-// Determinism acceptance for the streaming/sharded engine at the
-// public API: a TraceStream run must be byte-identical to the same
-// scenario with the collected Trace, sharded runs must be
-// byte-identical to sequential (standalone and under parallel Sweep),
-// and a streamed per-request TSV must carry exactly the rows of the
-// retained table.
+// Determinism acceptance for the streaming engine at the public API:
+// a TraceStream run must be byte-identical to the same scenario with
+// the collected Trace, cluster runs must be byte-identical standalone
+// and under a parallel Sweep, and a streamed per-request TSV must
+// carry exactly the rows of the retained table.
 
 import (
 	"bytes"
@@ -13,7 +12,6 @@ import (
 	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	sim "repro"
 )
@@ -97,47 +95,40 @@ func TestGoldenStreamMetrics(t *testing.T) {
 	}
 }
 
-// TestGoldenSharded pins shard-count invariance at the public API:
-// every shard count (including one clamped past the replica count)
-// reproduces the sequential fingerprint, standalone and inside a
-// parallel Sweep.
-func TestGoldenSharded(t *testing.T) {
-	scenario := func(shards int) sim.ClusterScenario {
-		sc := goldenStreamScenario(t)
-		sc.Replicas = 4
-		sc.Trace = goldenTrace(t)
-		sc.Shards = shards
-		return sc
-	}
-	rep, err := scenario(0).Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := clusterFingerprint(rep)
-	for _, shards := range []int{2, 3, 8} {
-		rep, err := scenario(shards).Run()
+// TestGoldenStreamSweep pins run isolation under Sweep's worker
+// pool: two copies of a 4-replica scenario run on two workers must
+// each reproduce the standalone fingerprint, with retained and with
+// streaming metrics.
+func TestGoldenStreamSweep(t *testing.T) {
+	for _, streaming := range []bool{false, true} {
+		scenario := func() sim.ClusterScenario {
+			sc := goldenStreamScenario(t)
+			sc.Replicas = 4
+			sc.Trace = goldenTrace(t)
+			sc.StreamMetrics = streaming
+			return sc
+		}
+		rep, err := scenario().Run()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := clusterFingerprint(rep); got != want {
-			t.Errorf("shards=%d diverged from sequential\n got %s\nwant %s", shards, got, want)
-		}
-	}
+		want := clusterFingerprint(rep)
 
-	sw := &sim.Sweep{
-		ClusterScenarios: []sim.ClusterScenario{scenario(2), scenario(3)},
-		Workers:          2,
-	}
-	swRep, err := sw.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := swRep.Err(); err != nil {
-		t.Fatal(err)
-	}
-	for i, res := range swRep.Results {
-		if got := clusterFingerprint(res.Cluster); got != want {
-			t.Errorf("sweep result %d diverged from sequential\n got %s\nwant %s", i, got, want)
+		sw := &sim.Sweep{
+			ClusterScenarios: []sim.ClusterScenario{scenario(), scenario()},
+			Workers:          2,
+		}
+		swRep, err := sw.Run()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := swRep.Err(); err != nil {
+			t.Fatal(err)
+		}
+		for i, res := range swRep.Results {
+			if got := clusterFingerprint(res.Cluster); got != want {
+				t.Errorf("streaming=%v: sweep result %d diverged from standalone\n got %s\nwant %s", streaming, i, got, want)
+			}
 		}
 	}
 }
@@ -182,7 +173,7 @@ func TestGoldenRequestsOut(t *testing.T) {
 }
 
 // TestStreamScenarioValidation pins the public configuration contract
-// of the streaming/sharded engine.
+// of the streaming engine.
 func TestStreamScenarioValidation(t *testing.T) {
 	stream, err := sim.NewMultiClassStream(goldenClasses(), 8, sim.Ramp{}, 1)
 	if err != nil {
@@ -197,33 +188,5 @@ func TestStreamScenarioValidation(t *testing.T) {
 	sc.TraceStream = stream
 	if err := sc.Validate(); err == nil {
 		t.Error("scenario with both trace and stream must fail")
-	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = -1
-	if err := sc.Validate(); err == nil {
-		t.Error("negative shard count must fail")
-	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = 2
-	sc.Telemetry = sim.NewTelemetry(sim.TelemetryConfig{})
-	if err := sc.Validate(); err == nil {
-		t.Error("sharding with telemetry must fail")
-	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = 2
-	sc.RequestsOut = &bytes.Buffer{}
-	if err := sc.Validate(); err == nil {
-		t.Error("sharding with a request row sink must fail")
-	}
-	sc = goldenStreamScenario(t)
-	sc.Trace = goldenTrace(t)
-	sc.Shards = 2
-	sc = sc.WithAutoscaler(sim.ScaleQueueDepth, 50*time.Millisecond, 1, 4)
-	sc.ScaleQueueTarget = 4
-	if err := sc.Validate(); err == nil {
-		t.Error("sharding with an autoscaler must fail")
 	}
 }
