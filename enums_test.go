@@ -3,12 +3,260 @@ package llmservingsim
 import (
 	"errors"
 	"flag"
+	"fmt"
 	"io"
+	"slices"
 	"strings"
 	"testing"
 
+	"repro/internal/cluster"
 	"repro/internal/config"
+	"repro/internal/core"
+	"repro/internal/kvcache"
+	"repro/internal/network"
+	"repro/internal/obs"
+	"repro/internal/sched"
 )
+
+// enumSurface pins one enum's public surface: every accepted spelling,
+// the unknown-spelling error, String of every value (and of the values
+// just outside the range), valid, and the internal mapping.
+type enumSurface[E ~int] struct {
+	typ      string                  // type name, as in out-of-range String
+	parse    func(string) (E, error) // the exported Parse function
+	accept   map[string]E            // every accepted spelling, "" included
+	names    []string                // String() of E(0), E(1), ...
+	bogusErr string                  // exact Parse("bogus") error
+	internal func(E) any             // nil when the enum has no internal mapping
+	inner    []any                   // internal() of E(0), E(1), ...
+}
+
+func checkEnumSurface[E interface {
+	~int
+	fmt.Stringer
+}, P interface {
+	*E
+	flag.Value
+}](t *testing.T, s enumSurface[E], valid func(E) bool) {
+	t.Helper()
+	for in, want := range s.accept {
+		got, err := s.parse(in)
+		if err != nil || got != want {
+			t.Errorf("%s: Parse(%q) = %v, %v; want %v", s.typ, in, got, err, want)
+		}
+	}
+	if _, err := s.parse("bogus"); err == nil || err.Error() != s.bogusErr {
+		t.Errorf("%s: Parse(\"bogus\") error = %v; want %q", s.typ, err, s.bogusErr)
+	}
+	for i, want := range s.names {
+		if got := E(i).String(); got != want {
+			t.Errorf("%s: String(%d) = %q; want %q", s.typ, i, got, want)
+		}
+		if !valid(E(i)) {
+			t.Errorf("%s: value %d not valid", s.typ, i)
+		}
+		if v, err := s.parse(want); err != nil || v != E(i) {
+			t.Errorf("%s: canonical %q parses to %v, %v", s.typ, want, v, err)
+		}
+	}
+	for _, out := range []int{-1, len(s.names)} {
+		if got, want := E(out).String(), fmt.Sprintf("%s(%d)", s.typ, out); got != want {
+			t.Errorf("%s: String(%d) = %q; want %q", s.typ, out, got, want)
+		}
+		if valid(E(out)) {
+			t.Errorf("%s: out-of-range value %d reported valid", s.typ, out)
+		}
+	}
+	if s.internal != nil {
+		if len(s.inner) != len(s.names) {
+			t.Fatalf("%s: %d internal values for %d names", s.typ, len(s.inner), len(s.names))
+		}
+		for i, want := range s.inner {
+			if got := s.internal(E(i)); got != want {
+				t.Errorf("%s: internal(%d) = %v; want %v", s.typ, i, got, want)
+			}
+		}
+		// Out-of-range values map to the zero value's internal value.
+		for _, out := range []int{-1, len(s.names)} {
+			if got := s.internal(E(out)); got != s.inner[0] {
+				t.Errorf("%s: internal(%d) = %v; want %v", s.typ, out, got, s.inner[0])
+			}
+		}
+	}
+	// Set stores a parsed value and leaves the destination unchanged on
+	// error.
+	last := E(len(s.names) - 1)
+	dst := last
+	if err := P(&dst).Set("bogus"); err == nil || err.Error() != s.bogusErr || dst != last {
+		t.Errorf("%s: Set(\"bogus\") = %v, left %v; want %q, %v", s.typ, err, dst, s.bogusErr, last)
+	}
+	if err := P(&dst).Set(s.names[0]); err != nil || dst != 0 {
+		t.Errorf("%s: Set(%q) = %v, stored %v", s.typ, s.names[0], err, dst)
+	}
+}
+
+// TestEnumSurface pins every public enum's spellings, aliases, error
+// strings, out-of-range String, valid/internal results, and the
+// listing helpers, so the enums' one source of truth cannot drift.
+func TestEnumSurface(t *testing.T) {
+	checkEnumSurface(t, enumSurface[Parallelism]{
+		typ:   "Parallelism",
+		parse: ParseParallelism,
+		accept: map[string]Parallelism{
+			"": ParallelismHybrid, "hybrid": ParallelismHybrid,
+			"tensor": ParallelismTensor, "pipeline": ParallelismPipeline,
+		},
+		names:    []string{"hybrid", "tensor", "pipeline"},
+		bogusErr: `llmservingsim: unknown parallelism "bogus" (want tensor|pipeline|hybrid)`,
+		internal: func(p Parallelism) any { return p.internal() },
+		inner:    []any{network.Hybrid, network.Tensor, network.Pipeline},
+	}, Parallelism.valid)
+	checkEnumSurface(t, enumSurface[SchedPolicy]{
+		typ:   "SchedPolicy",
+		parse: ParseSchedPolicy,
+		accept: map[string]SchedPolicy{
+			"": SchedOrca, "orca": SchedOrca, "iteration": SchedOrca,
+			"static": SchedStatic, "batch": SchedStatic,
+			"chunked": SchedChunked, "chunk": SchedChunked,
+		},
+		names:    []string{"orca", "static", "chunked"},
+		bogusErr: `llmservingsim: unknown scheduling policy "bogus" (want orca|static|chunked)`,
+		internal: func(p SchedPolicy) any { return p.internal() },
+		inner:    []any{sched.Orca, sched.Static, sched.Chunked},
+	}, SchedPolicy.valid)
+	checkEnumSurface(t, enumSurface[KVPolicy]{
+		typ:   "KVPolicy",
+		parse: ParseKVPolicy,
+		accept: map[string]KVPolicy{
+			"": KVPaged, "vllm": KVPaged, "paged": KVPaged,
+			"maxlen": KVMaxLen, "max": KVMaxLen,
+		},
+		names:    []string{"vllm", "maxlen"},
+		bogusErr: `llmservingsim: unknown kv policy "bogus" (want vllm|maxlen)`,
+		internal: func(p KVPolicy) any { return p.internal() },
+		inner:    []any{kvcache.Paged, kvcache.MaxLen},
+	}, KVPolicy.valid)
+	checkEnumSurface(t, enumSurface[PrefixCacheMode]{
+		typ:   "PrefixCacheMode",
+		parse: ParsePrefixCacheMode,
+		accept: map[string]PrefixCacheMode{
+			"": PrefixCacheOff, "off": PrefixCacheOff,
+			"gpu": PrefixCacheGPU, "device": PrefixCacheGPU,
+			"tiered": PrefixCacheTiered, "cpu": PrefixCacheTiered,
+		},
+		names:    []string{"off", "gpu", "tiered"},
+		bogusErr: `llmservingsim: unknown prefix cache mode "bogus" (want off|gpu|tiered)`,
+		internal: func(m PrefixCacheMode) any { return m.internal() },
+		inner:    []any{kvcache.PrefixOff, kvcache.PrefixDevice, kvcache.PrefixTiered},
+	}, PrefixCacheMode.valid)
+	checkEnumSurface(t, enumSurface[PIMMode]{
+		typ:   "PIMMode",
+		parse: ParsePIMMode,
+		accept: map[string]PIMMode{
+			"": PIMNone, "none": PIMNone, "local": PIMLocal, "pool": PIMPool,
+		},
+		names:    []string{"none", "local", "pool"},
+		bogusErr: `llmservingsim: unknown pim mode "bogus" (want none|local|pool)`,
+		internal: func(m PIMMode) any { return m.internal() },
+		inner:    []any{core.PIMNone, core.PIMLocal, core.PIMPool},
+	}, PIMMode.valid)
+	checkEnumSurface(t, enumSurface[PerfModel]{
+		typ:   "PerfModel",
+		parse: ParsePerfModel,
+		accept: map[string]PerfModel{
+			"": PerfModelAstra, "astra": PerfModelAstra,
+			"roofline": PerfModelRoofline, "analytical": PerfModelRoofline,
+		},
+		names:    []string{"astra", "roofline"},
+		bogusErr: `llmservingsim: unknown perf model "bogus" (want astra|roofline)`,
+	}, PerfModel.valid)
+	checkEnumSurface(t, enumSurface[RouterPolicy]{
+		typ:   "RouterPolicy",
+		parse: ParseRouterPolicy,
+		accept: map[string]RouterPolicy{
+			"": RouterRoundRobin, "round-robin": RouterRoundRobin, "rr": RouterRoundRobin,
+			"least-loaded": RouterLeastLoaded, "least": RouterLeastLoaded,
+			"affinity": RouterAffinity, "session": RouterAffinity,
+			"prefix-affinity": RouterPrefixAffinity, "prefix": RouterPrefixAffinity,
+		},
+		names:    []string{"round-robin", "least-loaded", "affinity", "prefix-affinity"},
+		bogusErr: `llmservingsim: unknown router "bogus" (want round-robin|least-loaded|affinity|prefix-affinity)`,
+		internal: func(p RouterPolicy) any { return p.internal() },
+		inner: []any{cluster.RouterRoundRobin, cluster.RouterLeastLoad,
+			cluster.RouterAffinity, cluster.RouterPrefixAffinity},
+	}, RouterPolicy.valid)
+	checkEnumSurface(t, enumSurface[AdmissionPolicy]{
+		typ:   "AdmissionPolicy",
+		parse: ParseAdmissionPolicy,
+		accept: map[string]AdmissionPolicy{
+			"": AdmitAll, "all": AdmitAll, "unbounded": AdmitAll,
+			"queue-cap": AdmitQueueCap, "queue": AdmitQueueCap,
+			"token-budget": AdmitTokenBudget, "tokens": AdmitTokenBudget,
+		},
+		names:    []string{"all", "queue-cap", "token-budget"},
+		bogusErr: `llmservingsim: unknown admission policy "bogus" (want all|queue-cap|token-budget)`,
+		internal: func(p AdmissionPolicy) any { return p.internal() },
+		inner:    []any{cluster.AdmitAll, cluster.AdmitQueueCap, cluster.AdmitTokenBudget},
+	}, AdmissionPolicy.valid)
+	checkEnumSurface(t, enumSurface[AutoscalePolicy]{
+		typ:   "AutoscalePolicy",
+		parse: ParseAutoscalePolicy,
+		accept: map[string]AutoscalePolicy{
+			"": ScaleNone, "none": ScaleNone,
+			"queue-depth": ScaleQueueDepth, "queue": ScaleQueueDepth,
+			"slo-target": ScaleSLO, "slo": ScaleSLO,
+			"scheduled": ScaleScheduled,
+		},
+		names:    []string{"none", "queue-depth", "slo-target", "scheduled"},
+		bogusErr: `llmservingsim: unknown autoscaler "bogus" (want none|queue-depth|slo-target|scheduled)`,
+		internal: func(p AutoscalePolicy) any { return p.internal() },
+		inner:    []any{"", cluster.ScaleQueueDepth, cluster.ScaleSLOTarget, cluster.ScaleScheduled},
+	}, AutoscalePolicy.valid)
+	checkEnumSurface(t, enumSurface[ReplicaRole]{
+		typ:   "ReplicaRole",
+		parse: ParseReplicaRole,
+		accept: map[string]ReplicaRole{
+			"": RoleUnified, "unified": RoleUnified,
+			"prefill": RolePrefill, "decode": RoleDecode,
+		},
+		names:    []string{"unified", "prefill", "decode"},
+		bogusErr: `llmservingsim: unknown replica role "bogus" (want unified|prefill|decode)`,
+		internal: func(p ReplicaRole) any { return p.internal() },
+		inner:    []any{cluster.RoleUnified, cluster.RolePrefill, cluster.RoleDecode},
+	}, ReplicaRole.valid)
+	// TraceDetail's zero value is spans, but its error message and
+	// listing order is decisions|spans|full.
+	checkEnumSurface(t, enumSurface[TraceDetail]{
+		typ:   "TraceDetail",
+		parse: ParseTraceDetail,
+		accept: map[string]TraceDetail{
+			"": TraceSpans, "spans": TraceSpans,
+			"decisions": TraceDecisions, "full": TraceFull,
+		},
+		names:    []string{"spans", "decisions", "full"},
+		bogusErr: `llmservingsim: unknown trace detail "bogus" (want decisions|spans|full)`,
+		internal: func(d TraceDetail) any { return d.internal() },
+		inner:    []any{obs.DetailSpans, obs.DetailDecisions, obs.DetailFull},
+	}, func(d TraceDetail) bool { return d >= TraceSpans && d <= TraceFull })
+
+	for _, l := range []struct {
+		name      string
+		got, want []string
+	}{
+		{"SchedPolicies", SchedPolicies(), []string{"orca", "static", "chunked"}},
+		{"PerfModels", PerfModels(), []string{"astra", "roofline"}},
+		{"PrefixCacheModes", PrefixCacheModes(), []string{"off", "gpu", "tiered"}},
+		{"TraceDetails", TraceDetails(), []string{"decisions", "spans", "full"}},
+		// The registry listings are sorted by name.
+		{"Routers", Routers(), []string{"affinity", "least-loaded", "prefix-affinity", "round-robin"}},
+		{"Admissions", Admissions(), []string{"all", "queue-cap", "token-budget"}},
+		{"Autoscalers", Autoscalers(), []string{"queue-depth", "scheduled", "slo-target"}},
+	} {
+		if !slices.Equal(l.got, l.want) {
+			t.Errorf("%s() = %q; want %q", l.name, l.got, l.want)
+		}
+	}
+}
 
 // TestEnumRoundTrips: every enum value survives String -> Parse, and the
 // artifact's alias spellings parse to the same values.
