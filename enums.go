@@ -2,6 +2,8 @@ package llmservingsim
 
 import (
 	"fmt"
+	"slices"
+	"strings"
 
 	"repro/internal/cluster"
 	"repro/internal/core"
@@ -11,13 +13,91 @@ import (
 )
 
 // The enum types below replace the artifact's stringly-typed simulation
-// parameters (parallel, scheduling, kv_manage, pim_type). Each has a
-// Parse function accepting the artifact's CLI spellings (the empty
-// string selects the artifact default) and a String method returning the
-// canonical spelling, so round-tripping through flags and TSV output is
-// lossless. All four implement flag.Value, so they can be bound to
+// parameters (parallel, scheduling, kv_manage, pim_type) and name the
+// serving policies layered on top. Each has a Parse function accepting
+// the CLI spellings (the empty string selects the default) and a String
+// method returning the canonical spelling, so round-tripping through
+// flags and TSV output is lossless. All eleven (the ten below plus
+// TraceDetail) implement flag.Value, so they can be bound to
 // command-line flags directly with flag.Var. The zero value of every
-// enum is the artifact default, making zero-valued Config fields safe.
+// enum is the default, making zero-valued Config fields safe. Each
+// enum's enumTable is the single place its spellings live: Parse,
+// String, Set, validation, the internal mapping and the listing helpers
+// all read from it.
+
+// enumEntry is one enum value: its canonical spelling first, then any
+// aliases, and the internal-package value it maps to.
+type enumEntry[E ~int, I any] struct {
+	val   E
+	names []string
+	inner I
+}
+
+// enumTable holds every value of one public enum. Entry order is the
+// order of the want-list in Parse errors and of list.
+type enumTable[E ~int, I any] struct {
+	typ     string // type name, for String of out-of-range values
+	noun    string // what Parse errors call an unknown spelling
+	entries []enumEntry[E, I]
+}
+
+func (t *enumTable[E, I]) find(v E) *enumEntry[E, I] {
+	for i := range t.entries {
+		if t.entries[i].val == v {
+			return &t.entries[i]
+		}
+	}
+	return nil
+}
+
+// parse maps a spelling to its value; "" selects the zero value.
+func (t *enumTable[E, I]) parse(s string) (E, error) {
+	if s == "" {
+		return 0, nil
+	}
+	for _, e := range t.entries {
+		if slices.Contains(e.names, s) {
+			return e.val, nil
+		}
+	}
+	return 0, fmt.Errorf("llmservingsim: unknown %s %q (want %s)", t.noun, s, strings.Join(t.list(), "|"))
+}
+
+func (t *enumTable[E, I]) str(v E) string {
+	if e := t.find(v); e != nil {
+		return e.names[0]
+	}
+	return fmt.Sprintf("%s(%d)", t.typ, int(v))
+}
+
+// set implements flag.Value.Set, leaving *dst unchanged on error.
+func (t *enumTable[E, I]) set(dst *E, s string) error {
+	v, err := t.parse(s)
+	if err == nil {
+		*dst = v
+	}
+	return err
+}
+
+func (t *enumTable[E, I]) valid(v E) bool { return t.find(v) != nil }
+
+// internal maps v to its internal value; out-of-range values map to the
+// zero value's.
+func (t *enumTable[E, I]) internal(v E) I {
+	if e := t.find(v); e != nil {
+		return e.inner
+	}
+	return t.find(0).inner
+}
+
+// list returns the canonical spellings in entry order.
+func (t *enumTable[E, I]) list() []string {
+	names := make([]string, len(t.entries))
+	for i, e := range t.entries {
+		names[i] = e.names[0]
+	}
+	return names
+}
 
 // Parallelism selects how the model is distributed across accelerators
 // (the artifact's "parallel" parameter). The zero value is
@@ -34,58 +114,24 @@ const (
 	ParallelismPipeline
 )
 
+var parallelismTable = enumTable[Parallelism, network.Parallelism]{"Parallelism", "parallelism", []enumEntry[Parallelism, network.Parallelism]{
+	{ParallelismTensor, []string{"tensor"}, network.Tensor},
+	{ParallelismPipeline, []string{"pipeline"}, network.Pipeline},
+	{ParallelismHybrid, []string{"hybrid"}, network.Hybrid},
+}}
+
 // ParseParallelism converts the artifact's CLI values ("tensor",
 // "pipeline", "hybrid"; "" selects the default, hybrid).
-func ParseParallelism(s string) (Parallelism, error) {
-	switch s {
-	case "hybrid", "":
-		return ParallelismHybrid, nil
-	case "tensor":
-		return ParallelismTensor, nil
-	case "pipeline":
-		return ParallelismPipeline, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown parallelism %q (want tensor|pipeline|hybrid)", s)
-	}
-}
+func ParseParallelism(s string) (Parallelism, error) { return parallelismTable.parse(s) }
 
-func (p Parallelism) String() string {
-	switch p {
-	case ParallelismHybrid:
-		return "hybrid"
-	case ParallelismTensor:
-		return "tensor"
-	case ParallelismPipeline:
-		return "pipeline"
-	default:
-		return fmt.Sprintf("Parallelism(%d)", int(p))
-	}
-}
+func (p Parallelism) String() string { return parallelismTable.str(p) }
 
 // Set implements flag.Value.
-func (p *Parallelism) Set(s string) error {
-	v, err := ParseParallelism(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *Parallelism) Set(s string) error { return parallelismTable.set(p, s) }
 
-func (p Parallelism) valid() bool {
-	return p >= ParallelismHybrid && p <= ParallelismPipeline
-}
+func (p Parallelism) valid() bool { return parallelismTable.valid(p) }
 
-func (p Parallelism) internal() network.Parallelism {
-	switch p {
-	case ParallelismTensor:
-		return network.Tensor
-	case ParallelismPipeline:
-		return network.Pipeline
-	default:
-		return network.Hybrid
-	}
-}
+func (p Parallelism) internal() network.Parallelism { return parallelismTable.internal(p) }
 
 // SchedPolicy selects the batch scheduling policy (the artifact's
 // "scheduling" parameter). The zero value is SchedOrca, the artifact
@@ -105,57 +151,25 @@ const (
 	SchedChunked
 )
 
+var schedTable = enumTable[SchedPolicy, sched.Policy]{"SchedPolicy", "scheduling policy", []enumEntry[SchedPolicy, sched.Policy]{
+	{SchedOrca, []string{"orca", "iteration"}, sched.Orca},
+	{SchedStatic, []string{"static", "batch"}, sched.Static},
+	{SchedChunked, []string{"chunked", "chunk"}, sched.Chunked},
+}}
+
 // ParseSchedPolicy converts the artifact's CLI values ("orca" or
 // "iteration", "static" or "batch", plus "chunked" or "chunk"; ""
 // selects the default, orca).
-func ParseSchedPolicy(s string) (SchedPolicy, error) {
-	switch s {
-	case "orca", "iteration", "":
-		return SchedOrca, nil
-	case "static", "batch":
-		return SchedStatic, nil
-	case "chunked", "chunk":
-		return SchedChunked, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown scheduling policy %q (want orca|static|chunked)", s)
-	}
-}
+func ParseSchedPolicy(s string) (SchedPolicy, error) { return schedTable.parse(s) }
 
-func (p SchedPolicy) String() string {
-	switch p {
-	case SchedOrca:
-		return "orca"
-	case SchedStatic:
-		return "static"
-	case SchedChunked:
-		return "chunked"
-	default:
-		return fmt.Sprintf("SchedPolicy(%d)", int(p))
-	}
-}
+func (p SchedPolicy) String() string { return schedTable.str(p) }
 
 // Set implements flag.Value.
-func (p *SchedPolicy) Set(s string) error {
-	v, err := ParseSchedPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *SchedPolicy) Set(s string) error { return schedTable.set(p, s) }
 
-func (p SchedPolicy) valid() bool { return p >= SchedOrca && p <= SchedChunked }
+func (p SchedPolicy) valid() bool { return schedTable.valid(p) }
 
-func (p SchedPolicy) internal() sched.Policy {
-	switch p {
-	case SchedStatic:
-		return sched.Static
-	case SchedChunked:
-		return sched.Chunked
-	default:
-		return sched.Orca
-	}
-}
+func (p SchedPolicy) internal() sched.Policy { return schedTable.internal(p) }
 
 // KVPolicy selects KV-cache memory management (the artifact's
 // "kv_manage" parameter). The zero value is KVPaged, the artifact
@@ -169,48 +183,23 @@ const (
 	KVMaxLen
 )
 
+var kvTable = enumTable[KVPolicy, kvcache.Policy]{"KVPolicy", "kv policy", []enumEntry[KVPolicy, kvcache.Policy]{
+	{KVPaged, []string{"vllm", "paged"}, kvcache.Paged},
+	{KVMaxLen, []string{"maxlen", "max"}, kvcache.MaxLen},
+}}
+
 // ParseKVPolicy converts the artifact's CLI values ("vllm" or "paged",
 // "maxlen" or "max"; "" selects the default, vllm).
-func ParseKVPolicy(s string) (KVPolicy, error) {
-	switch s {
-	case "vllm", "paged", "":
-		return KVPaged, nil
-	case "maxlen", "max":
-		return KVMaxLen, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown kv policy %q (want vllm|maxlen)", s)
-	}
-}
+func ParseKVPolicy(s string) (KVPolicy, error) { return kvTable.parse(s) }
 
-func (p KVPolicy) String() string {
-	switch p {
-	case KVPaged:
-		return "vllm"
-	case KVMaxLen:
-		return "maxlen"
-	default:
-		return fmt.Sprintf("KVPolicy(%d)", int(p))
-	}
-}
+func (p KVPolicy) String() string { return kvTable.str(p) }
 
 // Set implements flag.Value.
-func (p *KVPolicy) Set(s string) error {
-	v, err := ParseKVPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *KVPolicy) Set(s string) error { return kvTable.set(p, s) }
 
-func (p KVPolicy) valid() bool { return p == KVPaged || p == KVMaxLen }
+func (p KVPolicy) valid() bool { return kvTable.valid(p) }
 
-func (p KVPolicy) internal() kvcache.Policy {
-	if p == KVMaxLen {
-		return kvcache.MaxLen
-	}
-	return kvcache.Paged
-}
+func (p KVPolicy) internal() kvcache.Policy { return kvTable.internal(p) }
 
 // PrefixCacheMode selects whether (and where) the KV manager caches
 // shared prompt prefixes across requests. The zero value is
@@ -232,56 +221,24 @@ const (
 	PrefixCacheTiered
 )
 
+var prefixCacheTable = enumTable[PrefixCacheMode, kvcache.PrefixMode]{"PrefixCacheMode", "prefix cache mode", []enumEntry[PrefixCacheMode, kvcache.PrefixMode]{
+	{PrefixCacheOff, []string{"off"}, kvcache.PrefixOff},
+	{PrefixCacheGPU, []string{"gpu", "device"}, kvcache.PrefixDevice},
+	{PrefixCacheTiered, []string{"tiered", "cpu"}, kvcache.PrefixTiered},
+}}
+
 // ParsePrefixCacheMode converts CLI values ("off", "gpu" or "device",
 // "tiered" or "cpu"; "" selects the default, off).
-func ParsePrefixCacheMode(s string) (PrefixCacheMode, error) {
-	switch s {
-	case "off", "":
-		return PrefixCacheOff, nil
-	case "gpu", "device":
-		return PrefixCacheGPU, nil
-	case "tiered", "cpu":
-		return PrefixCacheTiered, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown prefix cache mode %q (want off|gpu|tiered)", s)
-	}
-}
+func ParsePrefixCacheMode(s string) (PrefixCacheMode, error) { return prefixCacheTable.parse(s) }
 
-func (m PrefixCacheMode) String() string {
-	switch m {
-	case PrefixCacheOff:
-		return "off"
-	case PrefixCacheGPU:
-		return "gpu"
-	case PrefixCacheTiered:
-		return "tiered"
-	default:
-		return fmt.Sprintf("PrefixCacheMode(%d)", int(m))
-	}
-}
+func (m PrefixCacheMode) String() string { return prefixCacheTable.str(m) }
 
 // Set implements flag.Value.
-func (m *PrefixCacheMode) Set(s string) error {
-	v, err := ParsePrefixCacheMode(s)
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+func (m *PrefixCacheMode) Set(s string) error { return prefixCacheTable.set(m, s) }
 
-func (m PrefixCacheMode) valid() bool { return m >= PrefixCacheOff && m <= PrefixCacheTiered }
+func (m PrefixCacheMode) valid() bool { return prefixCacheTable.valid(m) }
 
-func (m PrefixCacheMode) internal() kvcache.PrefixMode {
-	switch m {
-	case PrefixCacheGPU:
-		return kvcache.PrefixDevice
-	case PrefixCacheTiered:
-		return kvcache.PrefixTiered
-	default:
-		return kvcache.PrefixOff
-	}
-}
+func (m PrefixCacheMode) internal() kvcache.PrefixMode { return prefixCacheTable.internal(m) }
 
 // PIMMode selects how PIM devices participate (the artifact's
 // "pim_type" parameter). The zero value is PIMNone.
@@ -298,56 +255,24 @@ const (
 	PIMPool
 )
 
+var pimTable = enumTable[PIMMode, core.PIMMode]{"PIMMode", "pim mode", []enumEntry[PIMMode, core.PIMMode]{
+	{PIMNone, []string{"none"}, core.PIMNone},
+	{PIMLocal, []string{"local"}, core.PIMLocal},
+	{PIMPool, []string{"pool"}, core.PIMPool},
+}}
+
 // ParsePIMMode converts the artifact's CLI values ("none", "local",
 // "pool"; "" selects the default, none).
-func ParsePIMMode(s string) (PIMMode, error) {
-	switch s {
-	case "none", "":
-		return PIMNone, nil
-	case "local":
-		return PIMLocal, nil
-	case "pool":
-		return PIMPool, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown pim mode %q (want none|local|pool)", s)
-	}
-}
+func ParsePIMMode(s string) (PIMMode, error) { return pimTable.parse(s) }
 
-func (m PIMMode) String() string {
-	switch m {
-	case PIMNone:
-		return "none"
-	case PIMLocal:
-		return "local"
-	case PIMPool:
-		return "pool"
-	default:
-		return fmt.Sprintf("PIMMode(%d)", int(m))
-	}
-}
+func (m PIMMode) String() string { return pimTable.str(m) }
 
 // Set implements flag.Value.
-func (m *PIMMode) Set(s string) error {
-	v, err := ParsePIMMode(s)
-	if err != nil {
-		return err
-	}
-	*m = v
-	return nil
-}
+func (m *PIMMode) Set(s string) error { return pimTable.set(m, s) }
 
-func (m PIMMode) valid() bool { return m >= PIMNone && m <= PIMPool }
+func (m PIMMode) valid() bool { return pimTable.valid(m) }
 
-func (m PIMMode) internal() core.PIMMode {
-	switch m {
-	case PIMLocal:
-		return core.PIMLocal
-	case PIMPool:
-		return core.PIMPool
-	default:
-		return core.PIMNone
-	}
-}
+func (m PIMMode) internal() core.PIMMode { return pimTable.internal(m) }
 
 // PerfModel selects the performance-model backend that prices each
 // simulated iteration. The zero value is PerfModelAstra, the full
@@ -367,43 +292,23 @@ const (
 	PerfModelRoofline
 )
 
+// PerfModel has no internal counterpart: buildOptions switches on it
+// directly.
+var perfModelTable = enumTable[PerfModel, struct{}]{"PerfModel", "perf model", []enumEntry[PerfModel, struct{}]{
+	{PerfModelAstra, []string{"astra"}, struct{}{}},
+	{PerfModelRoofline, []string{"roofline", "analytical"}, struct{}{}},
+}}
+
 // ParsePerfModel converts CLI values ("astra", "roofline" or
 // "analytical"; "" selects the default, astra).
-func ParsePerfModel(s string) (PerfModel, error) {
-	switch s {
-	case "astra", "":
-		return PerfModelAstra, nil
-	case "roofline", "analytical":
-		return PerfModelRoofline, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown perf model %q (want astra|roofline)", s)
-	}
-}
+func ParsePerfModel(s string) (PerfModel, error) { return perfModelTable.parse(s) }
 
-func (p PerfModel) String() string {
-	switch p {
-	case PerfModelAstra:
-		return "astra"
-	case PerfModelRoofline:
-		return "roofline"
-	default:
-		return fmt.Sprintf("PerfModel(%d)", int(p))
-	}
-}
+func (p PerfModel) String() string { return perfModelTable.str(p) }
 
 // Set implements flag.Value.
-func (p *PerfModel) Set(s string) error {
-	v, err := ParsePerfModel(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *PerfModel) Set(s string) error { return perfModelTable.set(p, s) }
 
-func (p PerfModel) valid() bool {
-	return p >= PerfModelAstra && p <= PerfModelRoofline
-}
+func (p PerfModel) valid() bool { return perfModelTable.valid(p) }
 
 // RouterPolicy selects how a cluster routes admitted requests across
 // replicas. The zero value is RouterRoundRobin.
@@ -425,66 +330,27 @@ const (
 	RouterPrefixAffinity
 )
 
+var routerTable = enumTable[RouterPolicy, string]{"RouterPolicy", "router", []enumEntry[RouterPolicy, string]{
+	{RouterRoundRobin, []string{"round-robin", "rr"}, cluster.RouterRoundRobin},
+	{RouterLeastLoaded, []string{"least-loaded", "least"}, cluster.RouterLeastLoad},
+	{RouterAffinity, []string{"affinity", "session"}, cluster.RouterAffinity},
+	{RouterPrefixAffinity, []string{"prefix-affinity", "prefix"}, cluster.RouterPrefixAffinity},
+}}
+
 // ParseRouterPolicy converts CLI values ("round-robin" or "rr",
 // "least-loaded" or "least", "affinity" or "session", "prefix-affinity"
 // or "prefix"; "" selects the default, round-robin).
-func ParseRouterPolicy(s string) (RouterPolicy, error) {
-	switch s {
-	case "round-robin", "rr", "":
-		return RouterRoundRobin, nil
-	case "least-loaded", "least":
-		return RouterLeastLoaded, nil
-	case "affinity", "session":
-		return RouterAffinity, nil
-	case "prefix-affinity", "prefix":
-		return RouterPrefixAffinity, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown router %q (want round-robin|least-loaded|affinity|prefix-affinity)", s)
-	}
-}
+func ParseRouterPolicy(s string) (RouterPolicy, error) { return routerTable.parse(s) }
 
-func (p RouterPolicy) String() string {
-	switch p {
-	case RouterRoundRobin:
-		return "round-robin"
-	case RouterLeastLoaded:
-		return "least-loaded"
-	case RouterAffinity:
-		return "affinity"
-	case RouterPrefixAffinity:
-		return "prefix-affinity"
-	default:
-		return fmt.Sprintf("RouterPolicy(%d)", int(p))
-	}
-}
+func (p RouterPolicy) String() string { return routerTable.str(p) }
 
 // Set implements flag.Value.
-func (p *RouterPolicy) Set(s string) error {
-	v, err := ParseRouterPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *RouterPolicy) Set(s string) error { return routerTable.set(p, s) }
 
-func (p RouterPolicy) valid() bool {
-	return p >= RouterRoundRobin && p <= RouterPrefixAffinity
-}
+func (p RouterPolicy) valid() bool { return routerTable.valid(p) }
 
 // internal returns the internal/cluster registry name.
-func (p RouterPolicy) internal() string {
-	switch p {
-	case RouterLeastLoaded:
-		return cluster.RouterLeastLoad
-	case RouterAffinity:
-		return cluster.RouterAffinity
-	case RouterPrefixAffinity:
-		return cluster.RouterPrefixAffinity
-	default:
-		return cluster.RouterRoundRobin
-	}
-}
+func (p RouterPolicy) internal() string { return routerTable.internal(p) }
 
 // AdmissionPolicy selects how a cluster gates arrivals before routing.
 // The zero value is AdmitAll.
@@ -502,60 +368,26 @@ const (
 	AdmitTokenBudget
 )
 
+var admissionTable = enumTable[AdmissionPolicy, string]{"AdmissionPolicy", "admission policy", []enumEntry[AdmissionPolicy, string]{
+	{AdmitAll, []string{"all", "unbounded"}, cluster.AdmitAll},
+	{AdmitQueueCap, []string{"queue-cap", "queue"}, cluster.AdmitQueueCap},
+	{AdmitTokenBudget, []string{"token-budget", "tokens"}, cluster.AdmitTokenBudget},
+}}
+
 // ParseAdmissionPolicy converts CLI values ("all" or "unbounded",
 // "queue-cap" or "queue", "token-budget" or "tokens"; "" selects the
 // default, all).
-func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) {
-	switch s {
-	case "all", "unbounded", "":
-		return AdmitAll, nil
-	case "queue-cap", "queue":
-		return AdmitQueueCap, nil
-	case "token-budget", "tokens":
-		return AdmitTokenBudget, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown admission policy %q (want all|queue-cap|token-budget)", s)
-	}
-}
+func ParseAdmissionPolicy(s string) (AdmissionPolicy, error) { return admissionTable.parse(s) }
 
-func (p AdmissionPolicy) String() string {
-	switch p {
-	case AdmitAll:
-		return "all"
-	case AdmitQueueCap:
-		return "queue-cap"
-	case AdmitTokenBudget:
-		return "token-budget"
-	default:
-		return fmt.Sprintf("AdmissionPolicy(%d)", int(p))
-	}
-}
+func (p AdmissionPolicy) String() string { return admissionTable.str(p) }
 
 // Set implements flag.Value.
-func (p *AdmissionPolicy) Set(s string) error {
-	v, err := ParseAdmissionPolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *AdmissionPolicy) Set(s string) error { return admissionTable.set(p, s) }
 
-func (p AdmissionPolicy) valid() bool {
-	return p >= AdmitAll && p <= AdmitTokenBudget
-}
+func (p AdmissionPolicy) valid() bool { return admissionTable.valid(p) }
 
 // internal returns the internal/cluster registry name.
-func (p AdmissionPolicy) internal() string {
-	switch p {
-	case AdmitQueueCap:
-		return cluster.AdmitQueueCap
-	case AdmitTokenBudget:
-		return cluster.AdmitTokenBudget
-	default:
-		return cluster.AdmitAll
-	}
-}
+func (p AdmissionPolicy) internal() string { return admissionTable.internal(p) }
 
 // AutoscalePolicy selects how a cluster resizes its fleet at runtime.
 // The zero value is ScaleNone (a static fleet).
@@ -576,67 +408,28 @@ const (
 	ScaleScheduled
 )
 
+var autoscaleTable = enumTable[AutoscalePolicy, string]{"AutoscalePolicy", "autoscaler", []enumEntry[AutoscalePolicy, string]{
+	{ScaleNone, []string{"none"}, ""},
+	{ScaleQueueDepth, []string{"queue-depth", "queue"}, cluster.ScaleQueueDepth},
+	{ScaleSLO, []string{"slo-target", "slo"}, cluster.ScaleSLOTarget},
+	{ScaleScheduled, []string{"scheduled"}, cluster.ScaleScheduled},
+}}
+
 // ParseAutoscalePolicy converts CLI values ("none", "queue-depth" or
 // "queue", "slo-target" or "slo", "scheduled"; "" selects the default,
 // none).
-func ParseAutoscalePolicy(s string) (AutoscalePolicy, error) {
-	switch s {
-	case "none", "":
-		return ScaleNone, nil
-	case "queue-depth", "queue":
-		return ScaleQueueDepth, nil
-	case "slo-target", "slo":
-		return ScaleSLO, nil
-	case "scheduled":
-		return ScaleScheduled, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown autoscaler %q (want none|queue-depth|slo-target|scheduled)", s)
-	}
-}
+func ParseAutoscalePolicy(s string) (AutoscalePolicy, error) { return autoscaleTable.parse(s) }
 
-func (p AutoscalePolicy) String() string {
-	switch p {
-	case ScaleNone:
-		return "none"
-	case ScaleQueueDepth:
-		return "queue-depth"
-	case ScaleSLO:
-		return "slo-target"
-	case ScaleScheduled:
-		return "scheduled"
-	default:
-		return fmt.Sprintf("AutoscalePolicy(%d)", int(p))
-	}
-}
+func (p AutoscalePolicy) String() string { return autoscaleTable.str(p) }
 
 // Set implements flag.Value.
-func (p *AutoscalePolicy) Set(s string) error {
-	v, err := ParseAutoscalePolicy(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *AutoscalePolicy) Set(s string) error { return autoscaleTable.set(p, s) }
 
-func (p AutoscalePolicy) valid() bool {
-	return p >= ScaleNone && p <= ScaleScheduled
-}
+func (p AutoscalePolicy) valid() bool { return autoscaleTable.valid(p) }
 
 // internal returns the internal/cluster registry name; ScaleNone has
 // none.
-func (p AutoscalePolicy) internal() string {
-	switch p {
-	case ScaleQueueDepth:
-		return cluster.ScaleQueueDepth
-	case ScaleSLO:
-		return cluster.ScaleSLOTarget
-	case ScaleScheduled:
-		return cluster.ScaleScheduled
-	default:
-		return ""
-	}
-}
+func (p AutoscalePolicy) internal() string { return autoscaleTable.internal(p) }
 
 // ReplicaRole assigns a fleet entry's replicas to a serving pool in a
 // disaggregated cluster. The zero value is RoleUnified: the replica
@@ -657,56 +450,22 @@ const (
 	RoleDecode
 )
 
+var roleTable = enumTable[ReplicaRole, cluster.Role]{"ReplicaRole", "replica role", []enumEntry[ReplicaRole, cluster.Role]{
+	{RoleUnified, []string{"unified"}, cluster.RoleUnified},
+	{RolePrefill, []string{"prefill"}, cluster.RolePrefill},
+	{RoleDecode, []string{"decode"}, cluster.RoleDecode},
+}}
+
 // ParseReplicaRole converts fleet-grammar values ("unified", "prefill",
 // "decode"; "" selects the default, unified).
-func ParseReplicaRole(s string) (ReplicaRole, error) {
-	switch s {
-	case "unified", "":
-		return RoleUnified, nil
-	case "prefill":
-		return RolePrefill, nil
-	case "decode":
-		return RoleDecode, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown replica role %q (want unified|prefill|decode)", s)
-	}
-}
+func ParseReplicaRole(s string) (ReplicaRole, error) { return roleTable.parse(s) }
 
-func (p ReplicaRole) String() string {
-	switch p {
-	case RoleUnified:
-		return "unified"
-	case RolePrefill:
-		return "prefill"
-	case RoleDecode:
-		return "decode"
-	default:
-		return fmt.Sprintf("ReplicaRole(%d)", int(p))
-	}
-}
+func (p ReplicaRole) String() string { return roleTable.str(p) }
 
 // Set implements flag.Value.
-func (p *ReplicaRole) Set(s string) error {
-	v, err := ParseReplicaRole(s)
-	if err != nil {
-		return err
-	}
-	*p = v
-	return nil
-}
+func (p *ReplicaRole) Set(s string) error { return roleTable.set(p, s) }
 
-func (p ReplicaRole) valid() bool {
-	return p >= RoleUnified && p <= RoleDecode
-}
+func (p ReplicaRole) valid() bool { return roleTable.valid(p) }
 
 // internal returns the internal/cluster role.
-func (p ReplicaRole) internal() cluster.Role {
-	switch p {
-	case RolePrefill:
-		return cluster.RolePrefill
-	case RoleDecode:
-		return cluster.RoleDecode
-	default:
-		return cluster.RoleUnified
-	}
-}
+func (p ReplicaRole) internal() cluster.Role { return roleTable.internal(p) }

@@ -38,15 +38,6 @@ var admissionFactories = map[string]func(limit int64) (Admission, error){
 	},
 }
 
-// RegisterAdmission adds an admission policy under the given name; it
-// panics on duplicates. Call from init or test setup.
-func RegisterAdmission(name string, factory func(limit int64) (Admission, error)) {
-	if _, dup := admissionFactories[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate admission policy %q", name))
-	}
-	admissionFactories[name] = factory
-}
-
 // NewAdmission builds the named admission policy. limit is the policy's
 // bound: queued requests per replica for queue-cap, total in-flight
 // tokens for token-budget; it is ignored by "all".

@@ -117,15 +117,6 @@ var autoscalerFactories = map[string]func(cfg AutoscalerConfig) (Autoscaler, err
 	},
 }
 
-// RegisterAutoscaler adds an autoscaling policy under the given name;
-// it panics on duplicates. Call from init or test setup.
-func RegisterAutoscaler(name string, factory func(cfg AutoscalerConfig) (Autoscaler, error)) {
-	if _, dup := autoscalerFactories[name]; dup {
-		panic(fmt.Sprintf("cluster: duplicate autoscaler %q", name))
-	}
-	autoscalerFactories[name] = factory
-}
-
 // NewAutoscaler builds the named autoscaling policy.
 func NewAutoscaler(name string, cfg AutoscalerConfig) (Autoscaler, error) {
 	f, ok := autoscalerFactories[name]

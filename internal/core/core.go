@@ -44,10 +44,6 @@ const (
 	PIMPool = perfmodel.PIMPool
 )
 
-// ParsePIMMode converts the artifact's CLI values ("none", "local",
-// "pool").
-func ParsePIMMode(s string) (PIMMode, error) { return perfmodel.ParsePIMMode(s) }
-
 // ReuseOptions toggles the paper's two result-reusing techniques
 // independently (Section IV-C). Alias of perfmodel.ReuseOptions.
 type ReuseOptions = perfmodel.ReuseOptions

@@ -239,16 +239,7 @@ func TestOptionValidation(t *testing.T) {
 	}
 }
 
-func TestParsePIMMode(t *testing.T) {
-	for s, want := range map[string]PIMMode{"none": PIMNone, "": PIMNone, "local": PIMLocal, "pool": PIMPool} {
-		got, err := ParsePIMMode(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePIMMode(%q)", s)
-		}
-	}
-	if _, err := ParsePIMMode("x"); err == nil {
-		t.Fatal("unknown mode must fail")
-	}
+func TestPIMModeString(t *testing.T) {
 	if PIMLocal.String() != "local" || PIMPool.String() != "pool" || PIMNone.String() != "none" {
 		t.Fatal("strings")
 	}

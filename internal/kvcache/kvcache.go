@@ -33,18 +33,6 @@ const (
 	MaxLen
 )
 
-// ParsePolicy converts the artifact's CLI values ("vllm", "maxlen").
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "vllm", "paged":
-		return Paged, nil
-	case "maxlen", "max":
-		return MaxLen, nil
-	default:
-		return 0, fmt.Errorf("kvcache: unknown policy %q (want vllm|maxlen)", s)
-	}
-}
-
 func (p Policy) String() string {
 	if p == MaxLen {
 		return "maxlen"

@@ -20,16 +20,7 @@ func newManager(t *testing.T, policy Policy, capPages int) *Manager {
 	return m
 }
 
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"vllm": Paged, "paged": Paged, "maxlen": MaxLen, "max": MaxLen} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%s) = %v, %v", s, got, err)
-		}
-	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Fatal("unknown policy must fail")
-	}
+func TestPolicyString(t *testing.T) {
 	if Paged.String() != "vllm" || MaxLen.String() != "maxlen" {
 		t.Fatal("policy strings")
 	}

@@ -37,20 +37,6 @@ const (
 	PrefixTiered
 )
 
-// ParsePrefixMode converts the CLI values ("off", "gpu", "tiered").
-func ParsePrefixMode(s string) (PrefixMode, error) {
-	switch s {
-	case "", "off":
-		return PrefixOff, nil
-	case "gpu", "device":
-		return PrefixDevice, nil
-	case "tiered", "cpu":
-		return PrefixTiered, nil
-	default:
-		return 0, fmt.Errorf("kvcache: unknown prefix mode %q (want off|gpu|tiered)", s)
-	}
-}
-
 func (p PrefixMode) String() string {
 	switch p {
 	case PrefixDevice:

@@ -39,20 +39,6 @@ func (p Parallelism) String() string {
 	}
 }
 
-// ParseParallelism converts the artifact's CLI string values.
-func ParseParallelism(s string) (Parallelism, error) {
-	switch s {
-	case "tensor":
-		return Tensor, nil
-	case "pipeline":
-		return Pipeline, nil
-	case "hybrid":
-		return Hybrid, nil
-	default:
-		return 0, fmt.Errorf("network: unknown parallelism %q (want tensor|pipeline|hybrid)", s)
-	}
-}
-
 // Topology is the accelerator system layout: Stages pipeline stages, each
 // a tensor-parallel group of TP nodes, as in Fig. 3. Node IDs are dense:
 // stage s owns nodes [s*TP, (s+1)*TP).

@@ -16,18 +16,11 @@ func build(t *testing.T, mode Parallelism, n, g int) Topology {
 	return topo
 }
 
-func TestParseParallelism(t *testing.T) {
-	for s, want := range map[string]Parallelism{"tensor": Tensor, "pipeline": Pipeline, "hybrid": Hybrid} {
-		got, err := ParseParallelism(s)
-		if err != nil || got != want {
-			t.Fatalf("ParseParallelism(%s) = %v, %v", s, got, err)
+func TestParallelismString(t *testing.T) {
+	for p, want := range map[Parallelism]string{Tensor: "tensor", Pipeline: "pipeline", Hybrid: "hybrid"} {
+		if got := p.String(); got != want {
+			t.Fatalf("%d.String() = %q, want %q", int(p), got, want)
 		}
-		if got.String() != s {
-			t.Fatalf("round trip %s", s)
-		}
-	}
-	if _, err := ParseParallelism("nope"); err == nil {
-		t.Fatal("unknown parallelism must fail")
 	}
 }
 

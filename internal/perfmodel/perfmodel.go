@@ -48,21 +48,6 @@ const (
 	PIMPool
 )
 
-// ParsePIMMode converts the artifact's CLI values ("none", "local",
-// "pool").
-func ParsePIMMode(s string) (PIMMode, error) {
-	switch s {
-	case "none", "":
-		return PIMNone, nil
-	case "local":
-		return PIMLocal, nil
-	case "pool":
-		return PIMPool, nil
-	default:
-		return 0, fmt.Errorf("perfmodel: unknown pim mode %q (want none|local|pool)", s)
-	}
-}
-
 func (m PIMMode) String() string {
 	switch m {
 	case PIMLocal:

@@ -33,20 +33,6 @@ const (
 	Chunked
 )
 
-// ParsePolicy converts the artifact's CLI values.
-func ParsePolicy(s string) (Policy, error) {
-	switch s {
-	case "orca", "iteration":
-		return Orca, nil
-	case "static", "batch":
-		return Static, nil
-	case "chunked", "chunk":
-		return Chunked, nil
-	default:
-		return 0, fmt.Errorf("sched: unknown policy %q (want orca|static|chunked)", s)
-	}
-}
-
 func (p Policy) String() string {
 	switch p {
 	case Static:

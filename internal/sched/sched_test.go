@@ -58,16 +58,7 @@ func drain(t *testing.T, s *Scheduler, lat simtime.Duration) int {
 	return iters
 }
 
-func TestParsePolicy(t *testing.T) {
-	for s, want := range map[string]Policy{"orca": Orca, "iteration": Orca, "static": Static, "batch": Static} {
-		got, err := ParsePolicy(s)
-		if err != nil || got != want {
-			t.Fatalf("ParsePolicy(%s)", s)
-		}
-	}
-	if _, err := ParsePolicy("x"); err == nil {
-		t.Fatal("unknown policy must fail")
-	}
+func TestPolicyString(t *testing.T) {
 	if Orca.String() != "orca" || Static.String() != "static" {
 		t.Fatal("strings")
 	}

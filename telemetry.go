@@ -6,7 +6,6 @@
 package llmservingsim
 
 import (
-	"fmt"
 	"io"
 
 	"repro/internal/obs"
@@ -28,60 +27,28 @@ const (
 	TraceFull
 )
 
+// traceDetailTable lists decisions first: the want-list and
+// TraceDetails order the levels by cost, not by value.
+var traceDetailTable = enumTable[TraceDetail, obs.Detail]{"TraceDetail", "trace detail", []enumEntry[TraceDetail, obs.Detail]{
+	{TraceDecisions, []string{"decisions"}, obs.DetailDecisions},
+	{TraceSpans, []string{"spans"}, obs.DetailSpans},
+	{TraceFull, []string{"full"}, obs.DetailFull},
+}}
+
 // ParseTraceDetail converts CLI values ("spans", "decisions" or
 // "full"; "" selects the default, spans).
-func ParseTraceDetail(s string) (TraceDetail, error) {
-	switch s {
-	case "spans", "":
-		return TraceSpans, nil
-	case "decisions":
-		return TraceDecisions, nil
-	case "full":
-		return TraceFull, nil
-	default:
-		return 0, fmt.Errorf("llmservingsim: unknown trace detail %q (want decisions|spans|full)", s)
-	}
-}
+func ParseTraceDetail(s string) (TraceDetail, error) { return traceDetailTable.parse(s) }
 
-func (d TraceDetail) String() string {
-	switch d {
-	case TraceSpans:
-		return "spans"
-	case TraceDecisions:
-		return "decisions"
-	case TraceFull:
-		return "full"
-	default:
-		return fmt.Sprintf("TraceDetail(%d)", int(d))
-	}
-}
+func (d TraceDetail) String() string { return traceDetailTable.str(d) }
 
 // Set implements flag.Value.
-func (d *TraceDetail) Set(s string) error {
-	v, err := ParseTraceDetail(s)
-	if err != nil {
-		return err
-	}
-	*d = v
-	return nil
-}
+func (d *TraceDetail) Set(s string) error { return traceDetailTable.set(d, s) }
 
-func (d TraceDetail) internal() obs.Detail {
-	switch d {
-	case TraceDecisions:
-		return obs.DetailDecisions
-	case TraceFull:
-		return obs.DetailFull
-	default:
-		return obs.DetailSpans
-	}
-}
+func (d TraceDetail) internal() obs.Detail { return traceDetailTable.internal(d) }
 
 // TraceDetails lists the trace detail levels (canonical CLI
 // spellings).
-func TraceDetails() []string {
-	return []string{TraceDecisions.String(), TraceSpans.String(), TraceFull.String()}
-}
+func TraceDetails() []string { return traceDetailTable.list() }
 
 // TelemetryConfig sizes a Telemetry recorder. The zero value captures
 // spans with the default ring capacities.
