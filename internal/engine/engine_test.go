@@ -8,6 +8,7 @@ import (
 	"repro/internal/engine"
 	"repro/internal/engine/npu"
 	"repro/internal/model"
+	"repro/internal/simtime"
 )
 
 func newStack(t *testing.T, reuse bool) *engine.Stack {
@@ -121,6 +122,82 @@ func TestResetStats(t *testing.T) {
 	// Caches survive a stats reset.
 	if c, _ := s.CacheSizes(); c != 1 {
 		t.Fatal("caches must survive ResetStats")
+	}
+}
+
+// TestStackStatsScript pins every counter after a scripted sequence of
+// misses, hits, a compile error, a stats reset and a reuse-off stack.
+// Host-time fields are wall-clock measurements and are left out.
+func TestStackStatsScript(t *testing.T) {
+	a, b, c := gemmOp(64), gemmOp(32), gemmOp(16)
+	bad := gemmOp(0) // non-positive dims: Compile fails
+
+	// Fresh latencies from a reuse-off stack, so no cache is involved.
+	fresh := newStack(t, false)
+	lat := map[int]simtime.Duration{}
+	for _, op := range []model.Op{a, b, c} {
+		d, err := fresh.RunLatency(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		lat[op.M] = d
+	}
+	counters := func(st engine.StackStats) engine.StackStats {
+		st.CompileHost, st.SimulateHost = 0, 0
+		return st
+	}
+	run := func(s *engine.Stack, ops ...model.Op) {
+		t.Helper()
+		for _, op := range ops {
+			d, err := s.RunLatency(op)
+			if op.M == 0 {
+				if err == nil {
+					t.Fatal("zero-dim op must fail to compile")
+				}
+				continue
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if d != lat[op.M] {
+				t.Fatalf("latency of M=%d: %v, fresh %v", op.M, d, lat[op.M])
+			}
+		}
+	}
+
+	s := newStack(t, true)
+	run(s, a, a, b, bad, a, b, c, c)
+	want := engine.StackStats{
+		CompileCalls: 8, CompileHits: 4,
+		SimulateCalls: 7, SimulateHits: 4,
+		OpsSimulated:  7,
+		SimulatedBusy: 3*lat[64] + 2*lat[32] + 2*lat[16],
+	}
+	if got := counters(s.Stats()); got != want {
+		t.Fatalf("reuse on:\n got %+v\nwant %+v", got, want)
+	}
+
+	// The caches survive a stats reset: every lookup now hits.
+	s.ResetStats()
+	run(s, c, b, a)
+	want = engine.StackStats{
+		CompileCalls: 3, CompileHits: 3,
+		SimulateCalls: 3, SimulateHits: 3,
+		OpsSimulated:  3,
+		SimulatedBusy: lat[64] + lat[32] + lat[16],
+	}
+	if got := counters(s.Stats()); got != want {
+		t.Fatalf("after reset:\n got %+v\nwant %+v", got, want)
+	}
+
+	off := newStack(t, false)
+	run(off, a, a, bad, a)
+	want = engine.StackStats{
+		CompileCalls: 4, SimulateCalls: 3, OpsSimulated: 3,
+		SimulatedBusy: 3 * lat[64],
+	}
+	if got := counters(off.Stats()); got != want {
+		t.Fatalf("reuse off:\n got %+v\nwant %+v", got, want)
 	}
 }
 
