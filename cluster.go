@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/metrics"
 	"repro/internal/perfmodel"
 	"repro/internal/simtime"
@@ -524,6 +525,11 @@ func replicaCost(cfg Config) float64 {
 	return hw.Cost()
 }
 
+// replicaBuilt, when non-nil, observes every replica simulator a cluster
+// build creates, with the scenario's name. Tests use it to check how
+// replicas share engine result caches.
+var replicaBuilt func(scenario string, sim *core.Simulator)
+
 // build assembles the internal cluster. onRecord, when non-nil, is the
 // streaming per-request row sink (RunContext wires RequestsOut through
 // it).
@@ -533,8 +539,8 @@ func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster
 	}
 	// One buildOptions call per homogeneous replica group; the lists
 	// then map replica index -> options. Backend factories inside the
-	// options build per-replica state, so sharing an Options value
-	// across a group is safe.
+	// options build per-replica backends, so sharing an Options value
+	// across a group is safe; only the engine result caches are shared.
 	disagg := sc.disaggregated()
 	var optsList []core.Options
 	var costList []float64
@@ -624,6 +630,9 @@ func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster
 	}
 	hook := sc.Config.OnIteration
 	rec := sc.telemetry().recorder()
+	// One result-cache set per cluster build: replicas with identically
+	// configured engines share one cache, and no cache outlives the run.
+	caches := &engine.Caches{}
 	poolSeen := map[cluster.Role]int{}
 	slotCost := map[int]float64{}
 	return cluster.New(cluster.Config{
@@ -642,9 +651,13 @@ func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster
 			// events with its own fleet slot.
 			opts.Obs = rec
 			opts.ObsReplica = i
+			opts.EngineCaches = caches
 			inner, err := core.New(opts, nil)
 			if err != nil {
 				return nil, err
+			}
+			if replicaBuilt != nil {
+				replicaBuilt(sc.Name, inner)
 			}
 			// Iteration indices are per replica; events from all
 			// replicas interleave on the goroutine driving the cluster.

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"repro/internal/core"
+	"repro/internal/engine"
 )
 
 func apiClasses() []TrafficClass {
@@ -302,5 +306,57 @@ func TestSweepMixedScenarioKinds(t *testing.T) {
 	}
 	if !strings.Contains(lines[2], "4x(2-npu tensor)") {
 		t.Fatalf("cluster row topology: %q", lines[2])
+	}
+}
+
+// TestSweepEngineCachesPerScenario: a parallel Sweep of two identical
+// astra cluster scenarios gives each scenario its own engine result
+// cache, shared by that scenario's replicas only, and each result still
+// equals a standalone run.
+func TestSweepEngineCachesPerScenario(t *testing.T) {
+	var mu sync.Mutex
+	caches := map[string]map[*engine.Cache]bool{}
+	replicaBuilt = func(name string, s *core.Simulator) {
+		mu.Lock()
+		defer mu.Unlock()
+		if caches[name] == nil {
+			caches[name] = map[*engine.Cache]bool{}
+		}
+		caches[name][s.NPUStack().Cache()] = true
+	}
+	t.Cleanup(func() { replicaBuilt = nil })
+
+	sw := &Sweep{
+		ClusterScenarios: []ClusterScenario{
+			apiClusterScenario(t, "a", RouterLeastLoaded),
+			apiClusterScenario(t, "b", RouterLeastLoaded),
+		},
+		Workers: 2,
+	}
+	rep, err := sw.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if len(caches["a"]) != 1 || len(caches["b"]) != 1 {
+		t.Fatalf("want one NPU cache per scenario, got %d and %d", len(caches["a"]), len(caches["b"]))
+	}
+	for c := range caches["a"] {
+		if caches["b"][c] {
+			t.Fatal("an engine cache crossed sweep scenarios")
+		}
+	}
+
+	replicaBuilt = nil
+	alone, err := apiClusterScenario(t, "a", RouterLeastLoaded).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range rep.Results {
+		if !reflect.DeepEqual(res.Cluster, alone) {
+			t.Errorf("sweep scenario %s differs from a standalone run", res.Name)
+		}
 	}
 }

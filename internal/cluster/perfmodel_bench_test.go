@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/config"
 	"repro/internal/core"
+	"repro/internal/engine"
 	"repro/internal/kvcache"
 	"repro/internal/model"
 	"repro/internal/network"
@@ -23,7 +24,10 @@ import (
 
 // backendReplicaFactory builds 2-NPU gpt2 replicas priced by the named
 // backend. Device memory is pinched to 200 MiB per NPU (as in the scale
-// benchmarks) so saturated replicas still churn the KV machinery.
+// benchmarks) so saturated replicas still churn the KV machinery. The
+// astra replicas of one factory share one engine result-cache set, as
+// the replicas of one cluster build do, so a run that must start with
+// cold caches takes a fresh factory.
 func backendReplicaFactory(b testing.TB, backend string) func(int, Role) (*core.Simulator, error) {
 	b.Helper()
 	topo, err := network.Build(network.Tensor, 2, 1, config.DefaultLink(), config.DefaultLink())
@@ -33,11 +37,12 @@ func backendReplicaFactory(b testing.TB, backend string) func(int, Role) (*core.
 	npuCfg := config.DefaultNPU()
 	npuCfg.MemoryBytes = 200 << 20
 	opts := core.Options{
-		Model:    model.MustLookup("gpt2"),
-		Topo:     topo,
-		NPU:      npuCfg,
-		KVPolicy: kvcache.Paged,
-		Reuse:    core.ReuseAll(),
+		Model:        model.MustLookup("gpt2"),
+		Topo:         topo,
+		NPU:          npuCfg,
+		KVPolicy:     kvcache.Paged,
+		Reuse:        core.ReuseAll(),
+		EngineCaches: &engine.Caches{},
 	}
 	if backend == "roofline" {
 		pc := perfmodel.Config{Model: opts.Model, Topo: topo, Reuse: opts.Reuse}
@@ -50,7 +55,6 @@ func backendReplicaFactory(b testing.TB, backend string) func(int, Role) (*core.
 func runBackendCluster(b *testing.B, backend string, replicas, n int) {
 	b.Helper()
 	trace := scaleTrace(b, n, workload.Ramp{})
-	factory := backendReplicaFactory(b, backend)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -59,8 +63,9 @@ func runBackendCluster(b *testing.B, backend string, replicas, n int) {
 			b.Fatal(err)
 		}
 		c, err := New(Config{
-			Replicas:   replicas,
-			NewReplica: factory,
+			Replicas: replicas,
+			// A fresh factory per iteration: every run starts cold.
+			NewReplica: backendReplicaFactory(b, backend),
 			Router:     r,
 			Classes:    scaleClasses(),
 		})

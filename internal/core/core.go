@@ -70,6 +70,12 @@ type Options struct {
 	// astra backend (e.g. with the GPU reference model for validation
 	// runs). Ignored when Backend is set.
 	EngineFactory func() (engine.Engine, error)
+	// EngineCaches, when non-nil, shares the default astra backend's
+	// engine result caches with every other simulator given the same
+	// set and identically configured engines (the replicas of one
+	// cluster run). Nil gives this simulator private caches. Ignored when
+	// Backend is set.
+	EngineCaches *engine.Caches
 
 	PIMMode PIMMode
 
@@ -208,7 +214,7 @@ func New(opts Options, reqs []workload.Request) (*Simulator, error) {
 	factory := opts.Backend
 	if factory == nil {
 		pc := opts.perfConfig()
-		ao := astrabackend.Options{NPU: opts.NPU, PIM: opts.PIM, EngineFactory: opts.EngineFactory}
+		ao := astrabackend.Options{NPU: opts.NPU, PIM: opts.PIM, EngineFactory: opts.EngineFactory, Caches: opts.EngineCaches}
 		factory = func() (perfmodel.Backend, error) { return astrabackend.New(pc, ao) }
 	}
 	backend, err := factory()

@@ -40,19 +40,19 @@ func TestIterationLatencyMatchesEngineSum(t *testing.T) {
 	}
 	var expected simtime.Duration
 	for _, op := range it.Block {
-		r, err := sim.NPUStack().Run(op)
+		d, err := sim.NPUStack().RunLatency(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected += r.Latency
+		expected += d
 	}
 	expected *= simtime.Duration(opts.Model.Layers)
 	for _, op := range []model.Op{it.Embed, it.Head} {
-		r, err := sim.NPUStack().Run(op)
+		d, err := sim.NPUStack().RunLatency(op)
 		if err != nil {
 			t.Fatal(err)
 		}
-		expected += r.Latency
+		expected += d
 	}
 	if lat != expected {
 		t.Fatalf("iteration latency %v, engine sum %v", lat, expected)

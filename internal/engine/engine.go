@@ -87,6 +87,8 @@ type Engine interface {
 // StackStats instruments a Stack: cache effectiveness and the host
 // wall-clock cost of each phase (the paper's "simulation time" metric,
 // Figs. 8-10, and the execution-engine bar of the Fig. 9 breakdown).
+// Counters belong to one Stack; when its Cache is shared, a hit may land
+// on an entry another Stack filled.
 type StackStats struct {
 	CompileCalls  int64
 	CompileHits   int64
@@ -107,33 +109,88 @@ func (s StackStats) HitRate() float64 {
 	return float64(s.CompileHits+s.SimulateHits) / float64(total)
 }
 
+// Cache holds the compiled artifacts and simulated latencies of one
+// engine configuration, keyed by operator shape. Equal shapes cost the
+// same on equally configured engines, so one Cache may serve every Stack
+// whose engine is configured identically. The zero value is ready to use.
+type Cache struct {
+	mu      sync.Mutex
+	entries map[model.ShapeID]cacheEntry
+}
+
+// cacheEntry is one operator shape's reuse state: compiled once, then
+// simulated once.
+type cacheEntry struct {
+	compiled  Compiled
+	latency   simtime.Duration
+	simulated bool
+}
+
+// Sizes returns the number of cached compiled artifacts and simulated
+// latencies.
+func (c *Cache) Sizes() (compiled, simulated int) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, e := range c.entries {
+		if e.simulated {
+			simulated++
+		}
+	}
+	return len(c.entries), simulated
+}
+
+// Caches hands out one Cache per engine configuration key, so the
+// replicas of one cluster run share their result caches. Keys must be
+// comparable; configurations of different types never collide. A nil
+// *Caches hands out a fresh private Cache on every call.
+type Caches struct {
+	mu     sync.Mutex
+	byConf map[any]*Cache
+}
+
+// For returns the Cache of the configuration key, creating it on first
+// use.
+func (cs *Caches) For(key any) *Cache {
+	if cs == nil {
+		return new(Cache)
+	}
+	cs.mu.Lock()
+	defer cs.mu.Unlock()
+	c, ok := cs.byConf[key]
+	if !ok {
+		if cs.byConf == nil {
+			cs.byConf = make(map[any]*Cache)
+		}
+		c = new(Cache)
+		cs.byConf[key] = c
+	}
+	return c
+}
+
 // Stack wraps an Engine with the paper's result-reuse caches.
 //
 // With reuse enabled, compilation results are cached by operator shape so
 // that the repeated transformer blocks of an LLM compile exactly once
-// (model-redundancy reuse), and simulation results are cached so that
-// iterations re-simulate only the attention operators whose context length
-// changed (computation reuse). With reuse disabled, every call re-runs the
-// engine, reproducing the behaviour of conventional per-layer simulators.
+// (model-redundancy reuse), and simulated latencies are cached so that
+// iterations re-simulate only the attention operators whose context
+// length changed (computation reuse). With reuse disabled, every call
+// re-runs the engine, reproducing the behaviour of conventional per-layer
+// simulators.
 type Stack struct {
 	eng   Engine
 	reuse bool
-
-	mu       sync.Mutex
-	compiled map[model.ShapeID]Compiled
-	results  map[model.ShapeID]Result
-	stats    StackStats
+	cache *Cache
+	stats StackStats // guarded by cache.mu
 }
 
-// NewStack wraps an engine. reuse enables the compilation/simulation
-// caches.
-func NewStack(eng Engine, reuse bool) *Stack {
-	return &Stack{
-		eng:      eng,
-		reuse:    reuse,
-		compiled: make(map[model.ShapeID]Compiled),
-		results:  make(map[model.ShapeID]Result),
+// NewStack wraps an engine. reuse enables the result caches; cache holds
+// them and may be shared with other stacks over identically configured
+// engines (nil gives the stack a private one).
+func NewStack(eng Engine, reuse bool, cache *Cache) *Stack {
+	if cache == nil {
+		cache = new(Cache)
 	}
+	return &Stack{eng: eng, reuse: reuse, cache: cache}
 }
 
 // Engine returns the wrapped engine.
@@ -142,141 +199,80 @@ func (s *Stack) Engine() Engine { return s.eng }
 // ReuseEnabled reports whether result reuse is on.
 func (s *Stack) ReuseEnabled() bool { return s.reuse }
 
-// tryCached is the double-hit fast path: with reuse on and both phases
-// cached (the steady state of an iteration loop), it advances all the
-// counters in one critical section and returns the cached result with
-// no engine calls.
-func (s *Stack) tryCached(key model.ShapeID) (Result, bool) {
-	if !s.reuse {
-		return Result{}, false
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	r, ok := s.results[key]
-	if !ok {
-		return Result{}, false
-	}
-	if _, compiled := s.compiled[key]; !compiled {
-		return Result{}, false
-	}
-	s.stats.CompileCalls++
-	s.stats.CompileHits++
-	s.stats.SimulateCalls++
-	s.stats.SimulateHits++
-	s.stats.OpsSimulated++
-	s.stats.SimulatedBusy += r.Latency
-	return r, true
-}
+// Cache returns the result cache the stack reads and fills.
+func (s *Stack) Cache() *Cache { return s.cache }
 
-// Run compiles and simulates one operator, consulting the caches.
-func (s *Stack) Run(op model.Op) (Result, error) {
-	key := op.ShapeID()
-	if r, ok := s.tryCached(key); ok {
-		// Return the cached latency under the caller's op identity.
-		r.Op = op
-		return r, nil
-	}
-	return s.runSlow(op, key)
-}
-
-// runSlow is the cache-missing path of Run.
-func (s *Stack) runSlow(op model.Op, key model.ShapeID) (Result, error) {
-	s.mu.Lock()
-	s.stats.CompileCalls++
-	c, haveCompiled := s.compiled[key]
-	if haveCompiled && s.reuse {
-		s.stats.CompileHits++
-	}
-	s.mu.Unlock()
-
-	if !haveCompiled || !s.reuse {
-		start := time.Now()
-		var err error
-		c, err = s.eng.Compile(op)
-		elapsed := time.Since(start)
-		if err != nil {
-			return Result{}, fmt.Errorf("engine %s: compiling %s: %w", s.eng.Name(), op.Name, err)
-		}
-		s.mu.Lock()
-		s.stats.CompileHost += elapsed
-		if s.reuse {
-			s.compiled[key] = c
-		}
-		s.mu.Unlock()
-	}
-
-	s.mu.Lock()
-	s.stats.SimulateCalls++
-	r, haveResult := s.results[key]
-	if haveResult && s.reuse {
-		s.stats.SimulateHits++
-		s.stats.OpsSimulated++
-		s.stats.SimulatedBusy += r.Latency
-		s.mu.Unlock()
-		// Return the cached latency under the caller's op identity.
-		r.Op = op
-		return r, nil
-	}
-	s.mu.Unlock()
-
-	start := time.Now()
-	r, err := s.eng.Simulate(c)
-	elapsed := time.Since(start)
-	if err != nil {
-		return Result{}, fmt.Errorf("engine %s: simulating %s: %w", s.eng.Name(), op.Name, err)
-	}
-	s.mu.Lock()
-	s.stats.SimulateHost += elapsed
-	s.stats.OpsSimulated++
-	s.stats.SimulatedBusy += r.Latency
-	if s.reuse {
-		s.results[key] = r
-	}
-	s.mu.Unlock()
-	r.Op = op
-	return r, nil
-}
-
-// RunLatency is Run for hot loops that need only the simulated latency:
-// the cached fast path returns without copying the full Result (whose
-// embedded Op makes the copy measurable at one call per operator per
-// iteration). Counters advance exactly as in Run.
+// RunLatency compiles and simulates one operator, consulting the cache,
+// and returns its simulated latency. A fully cached shape (the steady
+// state of an iteration loop) costs one map probe under one lock.
 func (s *Stack) RunLatency(op model.Op) (simtime.Duration, error) {
 	key := op.ShapeID()
-	if r, ok := s.tryCached(key); ok {
-		return r.Latency, nil
+	c := s.cache
+	c.mu.Lock()
+	var e cacheEntry
+	if s.reuse {
+		e = c.entries[key]
 	}
-	r, err := s.runSlow(op, key)
-	return r.Latency, err
+	s.stats.CompileCalls++
+	if e.compiled != nil {
+		s.stats.CompileHits++
+	}
+	if e.simulated {
+		s.stats.SimulateCalls++
+		s.stats.SimulateHits++
+		s.stats.OpsSimulated++
+		s.stats.SimulatedBusy += e.latency
+		c.mu.Unlock()
+		return e.latency, nil
+	}
+	c.mu.Unlock()
+
+	var compileHost time.Duration
+	if e.compiled == nil {
+		start := time.Now()
+		compiled, err := s.eng.Compile(op)
+		if err != nil {
+			return 0, fmt.Errorf("engine %s: compiling %s: %w", s.eng.Name(), op.Name, err)
+		}
+		compileHost = time.Since(start)
+		e.compiled = compiled
+	}
+	start := time.Now()
+	r, simErr := s.eng.Simulate(e.compiled)
+	simulateHost := time.Since(start)
+
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	s.stats.CompileHost += compileHost
+	s.stats.SimulateCalls++
+	if simErr == nil {
+		s.stats.SimulateHost += simulateHost
+		s.stats.OpsSimulated++
+		s.stats.SimulatedBusy += r.Latency
+		e.latency, e.simulated = r.Latency, true
+	}
+	if s.reuse {
+		if c.entries == nil {
+			c.entries = make(map[model.ShapeID]cacheEntry)
+		}
+		c.entries[key] = e
+	}
+	if simErr != nil {
+		return 0, fmt.Errorf("engine %s: simulating %s: %w", s.eng.Name(), op.Name, simErr)
+	}
+	return r.Latency, nil
 }
 
 // Stats returns a snapshot of the stack's instrumentation.
 func (s *Stack) Stats() StackStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
 	return s.stats
 }
 
-// ResetStats zeroes the instrumentation counters (the caches persist).
+// ResetStats zeroes the instrumentation counters (the cache persists).
 func (s *Stack) ResetStats() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+	s.cache.mu.Lock()
+	defer s.cache.mu.Unlock()
 	s.stats = StackStats{}
-}
-
-// ClearCaches drops all cached compilation and simulation results, e.g.
-// to model a cold simulator start (the Figs. 8 and 10 "no cached results"
-// condition).
-func (s *Stack) ClearCaches() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.compiled = make(map[model.ShapeID]Compiled)
-	s.results = make(map[model.ShapeID]Result)
-}
-
-// CacheSizes returns the number of cached compiled artifacts and results.
-func (s *Stack) CacheSizes() (compiled, results int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.compiled), len(s.results)
 }

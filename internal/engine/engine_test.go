@@ -1,12 +1,16 @@
 package engine_test
 
 import (
+	"errors"
+	"strings"
 	"sync"
 	"testing"
 
 	"repro/internal/config"
 	"repro/internal/engine"
+	"repro/internal/engine/gpu"
 	"repro/internal/engine/npu"
+	"repro/internal/engine/pim"
 	"repro/internal/model"
 	"repro/internal/simtime"
 )
@@ -17,7 +21,7 @@ func newStack(t *testing.T, reuse bool) *engine.Stack {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return engine.NewStack(eng, reuse)
+	return engine.NewStack(eng, reuse, nil)
 }
 
 func gemmOp(m int) model.Op {
@@ -35,16 +39,16 @@ func TestComputationReuse(t *testing.T) {
 	s := newStack(t, true)
 	op := gemmOp(64)
 
-	first, err := s.Run(op)
+	first, err := s.RunLatency(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	second, err := s.Run(op)
+	second, err := s.RunLatency(op)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if first.Latency != second.Latency {
-		t.Fatalf("cached latency %v differs from fresh %v", second.Latency, first.Latency)
+	if first != second {
+		t.Fatalf("cached latency %v differs from fresh %v", second, first)
 	}
 	st := s.Stats()
 	if st.CompileCalls != 2 || st.CompileHits != 1 {
@@ -53,7 +57,7 @@ func TestComputationReuse(t *testing.T) {
 	if st.SimulateCalls != 2 || st.SimulateHits != 1 {
 		t.Fatalf("simulate calls/hits = %d/%d", st.SimulateCalls, st.SimulateHits)
 	}
-	if c, r := s.CacheSizes(); c != 1 || r != 1 {
+	if c, r := s.Cache().Sizes(); c != 1 || r != 1 {
 		t.Fatalf("cache sizes %d/%d", c, r)
 	}
 }
@@ -65,10 +69,10 @@ func TestReuseAcrossRequests(t *testing.T) {
 	a := model.Op{Kind: model.OpScore, Name: "Score.r0", M: 1, N: 65, K: 128, Heads: 8, ReqID: 0, Context: 65}
 	b := a
 	b.Name, b.ReqID = "Score.r7", 7
-	if _, err := s.Run(a); err != nil {
+	if _, err := s.RunLatency(a); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Run(b); err != nil {
+	if _, err := s.RunLatency(b); err != nil {
 		t.Fatal(err)
 	}
 	if st := s.Stats(); st.SimulateHits != 1 {
@@ -80,7 +84,7 @@ func TestNoReuseRecomputes(t *testing.T) {
 	s := newStack(t, false)
 	op := gemmOp(64)
 	for i := 0; i < 3; i++ {
-		if _, err := s.Run(op); err != nil {
+		if _, err := s.RunLatency(op); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -88,31 +92,14 @@ func TestNoReuseRecomputes(t *testing.T) {
 	if st.CompileHits != 0 || st.SimulateHits != 0 {
 		t.Fatalf("no-reuse stack must not hit caches: %+v", st)
 	}
-	if c, r := s.CacheSizes(); c != 0 || r != 0 {
+	if c, r := s.Cache().Sizes(); c != 0 || r != 0 {
 		t.Fatalf("no-reuse stack must not populate caches: %d/%d", c, r)
-	}
-}
-
-func TestClearCaches(t *testing.T) {
-	s := newStack(t, true)
-	if _, err := s.Run(gemmOp(64)); err != nil {
-		t.Fatal(err)
-	}
-	s.ClearCaches()
-	if c, r := s.CacheSizes(); c != 0 || r != 0 {
-		t.Fatal("caches must be empty after ClearCaches")
-	}
-	if _, err := s.Run(gemmOp(64)); err != nil {
-		t.Fatal(err)
-	}
-	if st := s.Stats(); st.SimulateHits != 0 {
-		t.Fatal("cold cache must not hit")
 	}
 }
 
 func TestResetStats(t *testing.T) {
 	s := newStack(t, true)
-	if _, err := s.Run(gemmOp(64)); err != nil {
+	if _, err := s.RunLatency(gemmOp(64)); err != nil {
 		t.Fatal(err)
 	}
 	s.ResetStats()
@@ -120,7 +107,7 @@ func TestResetStats(t *testing.T) {
 		t.Fatalf("stats must reset: %+v", st)
 	}
 	// Caches survive a stats reset.
-	if c, _ := s.CacheSizes(); c != 1 {
+	if c, _ := s.Cache().Sizes(); c != 1 {
 		t.Fatal("caches must survive ResetStats")
 	}
 }
@@ -199,6 +186,41 @@ func TestStackStatsScript(t *testing.T) {
 	if got := counters(off.Stats()); got != want {
 		t.Fatalf("reuse off:\n got %+v\nwant %+v", got, want)
 	}
+
+	// A failed simulation keeps the compiled artifact: the retry is a
+	// compile hit that simulates, and the lookup after it hits fully.
+	eng, err := npu.New(config.DefaultNPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	flaky := engine.NewStack(&failFirstSimulate{Engine: eng}, true, nil)
+	if _, err := flaky.RunLatency(a); err == nil {
+		t.Fatal("first simulation must fail")
+	}
+	run(flaky, a, a)
+	want = engine.StackStats{
+		CompileCalls: 3, CompileHits: 2,
+		SimulateCalls: 3, SimulateHits: 1,
+		OpsSimulated:  2,
+		SimulatedBusy: 2 * lat[64],
+	}
+	if got := counters(flaky.Stats()); got != want {
+		t.Fatalf("after a failed simulation:\n got %+v\nwant %+v", got, want)
+	}
+}
+
+// failFirstSimulate fails its first Simulate call.
+type failFirstSimulate struct {
+	engine.Engine
+	failed bool
+}
+
+func (f *failFirstSimulate) Simulate(c engine.Compiled) (engine.Result, error) {
+	if !f.failed {
+		f.failed = true
+		return engine.Result{}, errors.New("simulator unavailable")
+	}
+	return f.Engine.Simulate(c)
 }
 
 func TestHitRate(t *testing.T) {
@@ -223,7 +245,7 @@ func TestConcurrentRun(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			for j := 0; j < 8; j++ {
-				if _, err := s.Run(gemmOp(16 + (i+j)%4*16)); err != nil {
+				if _, err := s.RunLatency(gemmOp(16 + (i+j)%4*16)); err != nil {
 					errs <- err
 				}
 			}
@@ -239,27 +261,134 @@ func TestConcurrentRun(t *testing.T) {
 	}
 }
 
-func TestRunResultIdentity(t *testing.T) {
-	s := newStack(t, true)
-	op := gemmOp(32)
-	if _, err := s.Run(op); err != nil {
-		t.Fatal(err)
-	}
-	other := op
-	other.Name, other.ReqID = "renamed", 5
-	res, err := s.Run(other)
+// TestConcurrentSharedCache: stacks on many goroutines take one cache
+// from a shared set and fill it together, each keeping its own counters;
+// run with -race to validate the locking.
+func TestConcurrentSharedCache(t *testing.T) {
+	cfg := config.DefaultNPU()
+	eng, err := npu.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Cached results must carry the caller's op identity, not the cached
-	// op's.
-	if res.Op.Name != "renamed" {
-		t.Fatalf("result op name %q", res.Op.Name)
+	caches := &engine.Caches{}
+	got := make([]*engine.Cache, 8)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			s := engine.NewStack(eng, true, caches.For(cfg))
+			got[i] = s.Cache()
+			for j := 0; j < 8; j++ {
+				if _, err := s.RunLatency(gemmOp(16 + (i+j)%4*16)); err != nil {
+					t.Error(err)
+				}
+			}
+			if st := s.Stats(); st.OpsSimulated != 8 || st.SimulateCalls != 8 {
+				t.Errorf("stack %d: own counters %+v", i, st)
+			}
+		}(i)
+	}
+	wg.Wait()
+	for _, c := range got {
+		if c != got[0] {
+			t.Fatal("equal configs got different caches")
+		}
+	}
+	if c, r := got[0].Sizes(); c != 4 || r != 4 {
+		t.Fatalf("shared cache sizes %d/%d, want 4/4", c, r)
 	}
 }
 
 func TestKindString(t *testing.T) {
 	if engine.NPU.String() != "npu" || engine.PIM.String() != "pim" || engine.GPU.String() != "gpu" {
 		t.Fatal("kind strings")
+	}
+}
+
+// TestShapeDeterminesLatency is the contract that lets one Cache serve
+// many stacks: on a given engine configuration, ops with equal ShapeID
+// compile and simulate to the same latency whatever their Name, ReqID,
+// Batched and Weights. It covers every operator kind each engine
+// supports. The GPU reference model prices weight traffic from
+// Op.Weights, which one model fixes per shape, so its stacks keep private
+// caches; for it Weights is held fixed and shown to matter.
+func TestShapeDeterminesLatency(t *testing.T) {
+	npuEng, err := npu.New(config.DefaultNPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	pimEng, err := pim.New(config.DefaultPIM())
+	if err != nil {
+		t.Fatal(err)
+	}
+	gpuEng, err := gpu.New(config.DefaultGPU())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kinds []model.OpKind
+	for k := model.OpKind(0); !strings.HasPrefix(k.String(), "OpKind("); k++ {
+		kinds = append(kinds, k)
+	}
+	shapes := []model.Op{
+		{Phase: model.Initiation, M: 64, N: 128, K: 96, Heads: 4, Context: 64},
+		{Phase: model.Generation, M: 1, N: 513, K: 128, Heads: 8, Context: 513},
+	}
+	latency := func(e engine.Engine, op model.Op) simtime.Duration {
+		t.Helper()
+		c, err := e.Compile(op)
+		if err != nil {
+			t.Fatal(err)
+		}
+		r, err := e.Simulate(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Latency
+	}
+	for _, tc := range []struct {
+		eng            engine.Engine
+		ignoresWeights bool
+	}{
+		{npuEng, true},
+		{pimEng, true},
+		{gpuEng, false},
+	} {
+		supported := 0
+		for _, kind := range kinds {
+			if !tc.eng.Supports(kind) {
+				continue
+			}
+			supported++
+			for _, shape := range shapes {
+				a := shape
+				a.Kind, a.Name, a.ReqID, a.Batched = kind, "a", -1, true
+				a.Weights = int64(a.N) * int64(a.K) * 2
+				b := a
+				b.Name, b.ReqID, b.Batched = "b.r6", 6, false
+				if tc.ignoresWeights {
+					b.Weights = 3*a.Weights + 1
+				}
+				if a.ShapeID() != b.ShapeID() {
+					t.Fatalf("%s: variant changed the ShapeID", kind)
+				}
+				if la, lb := latency(tc.eng, a), latency(tc.eng, b); la != lb {
+					t.Errorf("%s %s %s: latency %v vs %v for equal ShapeID",
+						tc.eng.Kind(), kind, shape.Phase, la, lb)
+				}
+			}
+		}
+		if supported == 0 {
+			t.Fatalf("%s supports no operator kind", tc.eng.Kind())
+		}
+	}
+
+	// A weight-streaming GEMV: the GPU's cost follows Op.Weights.
+	gemv := model.Op{Kind: model.OpFFN1, Phase: model.Generation, M: 1, N: 4096, K: 4096, Heads: 1}
+	gemv.Weights = 4096 * 4096 * 2
+	heavy := gemv
+	heavy.Weights *= 4
+	if latency(gpuEng, gemv) == latency(gpuEng, heavy) {
+		t.Fatal("gpu latency no longer reads Op.Weights: vary Weights for it above")
 	}
 }

@@ -37,6 +37,13 @@ type Options struct {
 	// GPU reference model for validation runs). When nil the systolic
 	// NPU engine is used.
 	EngineFactory func() (engine.Engine, error)
+
+	// Caches, when non-nil, supplies the engine result caches: the NPU
+	// stack's is keyed by NPU and the PIM stack's by PIM, so backends
+	// with identically configured engines share them. An EngineFactory
+	// engine always gets a private cache (a func is not a usable key).
+	// Nil gives every stack a private cache.
+	Caches *engine.Caches
 }
 
 // Backend runs the Fig. 4 hardware/system pipeline for each iteration.
@@ -70,23 +77,25 @@ func New(cfg perfmodel.Config, opts Options) (*Backend, error) {
 	}
 
 	var eng engine.Engine
+	var cache *engine.Cache
 	var err error
 	if opts.EngineFactory != nil {
 		eng, err = opts.EngineFactory()
 	} else {
 		eng, err = npu.New(opts.NPU)
+		cache = opts.Caches.For(opts.NPU)
 	}
 	if err != nil {
 		return nil, err
 	}
-	b.npu = engine.NewStack(eng, cfg.Reuse.ComputationReuse)
+	b.npu = engine.NewStack(eng, cfg.Reuse.ComputationReuse, cache)
 
 	if cfg.PIMMode != perfmodel.PIMNone {
 		p, err := pim.New(opts.PIM)
 		if err != nil {
 			return nil, err
 		}
-		b.pim = engine.NewStack(p, cfg.Reuse.ComputationReuse)
+		b.pim = engine.NewStack(p, cfg.Reuse.ComputationReuse, opts.Caches.For(opts.PIM))
 	}
 	return b, nil
 }

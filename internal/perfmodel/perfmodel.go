@@ -20,7 +20,11 @@
 //
 // Backends are stateful (result caches, host-time instrumentation) and
 // owned by exactly one simulator; Factory exists so each replica of a
-// cluster builds its own instance.
+// cluster builds its own instance. One kind of state may be shared: the
+// astra backend's engine result caches are per engine configuration, so
+// the replicas of one cluster run with identically configured engines
+// read and fill the same cache (each keeps its own counters). The
+// roofline backend's caches stay per replica.
 package perfmodel
 
 import (
@@ -152,6 +156,8 @@ type Backend interface {
 }
 
 // Factory builds a fresh Backend instance. Cluster simulations call it
-// once per replica so backend state (caches, host times) stays
-// replica-local.
+// once per replica so backend state (instrumentation, host times,
+// scratch buffers) stays replica-local; a factory may still hand its
+// backends a shared result cache, as the astra one does per engine
+// configuration.
 type Factory func() (Backend, error)
