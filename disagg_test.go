@@ -13,6 +13,7 @@ package llmservingsim_test
 import (
 	"bytes"
 	"fmt"
+	"hash/fnv"
 	"os"
 	"strings"
 	"testing"
@@ -266,11 +267,11 @@ func TestDisaggDecodePoolLost(t *testing.T) {
 	}
 }
 
-// TestDisaggAutoscale drives per-pool scaling: an slo-target policy
-// with unattainable targets must grow both pools independently within
-// their own clamps, and the fleet timeline must attribute the growth to
-// the right pool.
-func TestDisaggAutoscale(t *testing.T) {
+// disaggAutoscaleScenario is a 1+1 disaggregated fleet under an
+// slo-target policy whose targets no replica can meet, so both pools
+// grow until their own clamps (prefill 3, decode 2) hold them.
+func disaggAutoscaleScenario(t testing.TB) sim.ClusterScenario {
+	t.Helper()
 	fleet, err := sim.ParseFleet("1xgpt2#prefill,1xgpt2#decode")
 	if err != nil {
 		t.Fatal(err)
@@ -283,7 +284,7 @@ func TestDisaggAutoscale(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sc := sim.ClusterScenario{
+	return sim.ClusterScenario{
 		Name:               "disagg-autoscale",
 		Config:             disaggConfig(),
 		Classes:            classes,
@@ -296,7 +297,14 @@ func TestDisaggAutoscale(t *testing.T) {
 		DecodeMaxReplicas:  2,
 		ProvisionDelay:     20 * time.Millisecond,
 	}.WithReplicaSpecs(fleet...)
-	rep, err := sc.Run()
+}
+
+// TestDisaggAutoscale drives per-pool scaling: an slo-target policy
+// with unattainable targets must grow both pools independently within
+// their own clamps, and the fleet timeline must attribute the growth to
+// the right pool.
+func TestDisaggAutoscale(t *testing.T) {
+	rep, err := disaggAutoscaleScenario(t).Run()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -320,6 +328,46 @@ func TestDisaggAutoscale(t *testing.T) {
 	if rep.Pools[0].Slots <= 1 || rep.Pools[1].Slots <= 1 {
 		t.Errorf("pool slots %d/%d, want both pools to have scaled up",
 			rep.Pools[0].Slots, rep.Pools[1].Slots)
+	}
+}
+
+// TestGoldenDisaggAutoscale pins per-pool autoscaling bit-for-bit:
+// every fleet timeline point with its pool split, the pool rollup, the
+// capacity cost, the number of scale decisions each pool's scaler took,
+// and an FNV-1a hash of the decisions TSV (which carries every
+// per-pool policy name, desired and clamped size).
+func TestGoldenDisaggAutoscale(t *testing.T) {
+	const want = "scaler=slo-target replica_s=2.0765008101850002 cost=2.0765008101850002 pool=prefill:3/96/1.25215843557/1.25215843557/0 pool=decode:3/96/0.82434237461499993/0.82434237461499993/4381.8158092115782 fleet=|0:2/0/0/1/1|0.050000000000000003:2/1/0/1/1|0.070000000000000007:3/0/0/2/1|0.10000000000000001:3/2/0/2/1|0.12:5/0/0/3/2|0.20000000000000001:4/0/1/3/1|0.23957008423500001:4/0/0/3/1|0.25:4/1/0/3/1|0.27000000000000002:5/0/0/3/2 scale_prefill=9 scale_decode=9 dec_fnv=bd48d5cb59c58a0e"
+
+	tel := sim.NewTelemetry(sim.TelemetryConfig{Detail: sim.TraceDecisions})
+	rep, err := disaggAutoscaleScenario(t).WithTelemetry(tel).Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var dec bytes.Buffer
+	if err := tel.WriteDecisionsTSV(&dec); err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	h.Write(dec.Bytes())
+	var b strings.Builder
+	fmt.Fprintf(&b, "scaler=%s replica_s=%s cost=%s", rep.Scaler, g17(rep.ReplicaSeconds), g17(rep.CostProxy))
+	for _, p := range rep.Pools {
+		fmt.Fprintf(&b, " pool=%s:%d/%d/%s/%s/%s", p.Role, p.Slots, p.Requests,
+			g17(p.ReplicaSeconds), g17(p.CostProxy), g17(p.GoodputTPS))
+	}
+	b.WriteString(" fleet=")
+	for _, p := range rep.FleetTimeline {
+		fmt.Fprintf(&b, "|%s:%d/%d/%d/%d/%d", g17(p.TimeSec), p.Active, p.Provisioning, p.Draining,
+			p.ActivePrefill, p.ActiveDecode)
+	}
+	fmt.Fprintf(&b, " scale_prefill=%d scale_decode=%d dec_fnv=%016x",
+		strings.Count(dec.String(), "slo-target/prefill"), strings.Count(dec.String(), "slo-target/decode"), h.Sum64())
+	got := b.String()
+	if os.Getenv("GOLDEN_PRINT") != "" {
+		t.Logf("golden: disagg-autoscale: %q,", got)
+	} else if got != want {
+		t.Errorf("behaviour drifted from pinned golden\n got %s\nwant %s", got, want)
 	}
 }
 

@@ -15,7 +15,8 @@ import (
 )
 
 // newReplicaFactory builds homogeneous 2-NPU gpt2 tensor-parallel
-// replicas, the smallest realistic instance.
+// replicas, the smallest realistic instance. Decode-pool replicas are
+// built generation-only, as their prompts arrive as handed-off caches.
 func newReplicaFactory(t testing.TB) func(int, Role) (*core.Simulator, error) {
 	t.Helper()
 	topo, err := network.Build(network.Tensor, 2, 1, config.DefaultLink(), config.DefaultLink())
@@ -30,7 +31,11 @@ func newReplicaFactory(t testing.TB) func(int, Role) (*core.Simulator, error) {
 		KVPolicy: kvcache.Paged,
 		Reuse:    core.ReuseAll(),
 	}
-	return func(int, Role) (*core.Simulator, error) { return core.New(opts, nil) }
+	return func(_ int, role Role) (*core.Simulator, error) {
+		o := opts
+		o.Sched.SkipPrefill = role == RoleDecode
+		return core.New(o, nil)
+	}
 }
 
 func testClasses() []workload.Class {

@@ -78,15 +78,36 @@ func TestRunStreamMatchesRun(t *testing.T) {
 
 // TestStreamMetricsMatchesExact pins the streaming-accumulator report
 // against the retained-records report on the same run: counts, token
-// rates, and means exact; percentiles within the sketch contract.
+// rates, and means exact; percentiles within the sketch contract. The
+// disaggregated case fails a decode replica mid-run, so requeued
+// generations re-price their KV handoffs in both modes.
 func TestStreamMetricsMatchesExact(t *testing.T) {
-	run := func(streaming bool) *Report {
-		c, err := New(Config{
-			Replicas:      4,
-			NewReplica:    newReplicaFactory(t),
-			Classes:       testClasses(),
-			StreamMetrics: streaming,
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"unified", Config{Replicas: 4}},
+		{"disaggregated", Config{
+			Replicas: 4,
+			Roles:    []Role{RolePrefill, RolePrefill, RoleDecode, RoleDecode},
+			Events: []workload.FleetEvent{
+				{Time: simtime.Time(2 * simtime.Second), Kind: workload.EventFail, Replica: 2},
+			},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			testStreamMetricsMatchesExact(t, tc.cfg)
 		})
+	}
+}
+
+func testStreamMetricsMatchesExact(t *testing.T, cfg Config) {
+	run := func(streaming bool) *Report {
+		cfg := cfg
+		cfg.NewReplica = newReplicaFactory(t)
+		cfg.Classes = testClasses()
+		cfg.StreamMetrics = streaming
+		c, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -104,11 +125,29 @@ func TestStreamMetricsMatchesExact(t *testing.T) {
 		t.Fatalf("counts diverge: %d/%d/%d vs %d/%d/%d",
 			got.Requests, got.Admitted, got.Rejected, exact.Requests, exact.Admitted, exact.Rejected)
 	}
+	if cfg.Events != nil && exact.Requeued == 0 {
+		t.Fatal("the failure event requeued nothing; move it into the busy window")
+	}
+	if got.Requeued != exact.Requeued {
+		t.Fatalf("requeued %d, want %d", got.Requeued, exact.Requeued)
+	}
+	if len(got.PerReplica) != len(exact.PerReplica) {
+		t.Fatalf("%d replica summaries, want %d", len(got.PerReplica), len(exact.PerReplica))
+	}
 	for i := range exact.PerReplica {
 		if got.PerReplica[i].Requests != exact.PerReplica[i].Requests {
 			t.Fatalf("replica %d request count %d, want %d",
 				i, got.PerReplica[i].Requests, exact.PerReplica[i].Requests)
 		}
+	}
+	if !reflect.DeepEqual(got.Pools, exact.Pools) {
+		t.Fatalf("pools diverge:\n%+v\nvs\n%+v", got.Pools, exact.Pools)
+	}
+	if got.HandoffCount != exact.HandoffCount || got.HandoffBytes != exact.HandoffBytes ||
+		got.HandoffLinkSeconds != exact.HandoffLinkSeconds {
+		t.Fatalf("handoffs diverge: %d/%d/%v vs %d/%d/%v",
+			got.HandoffCount, got.HandoffBytes, got.HandoffLinkSeconds,
+			exact.HandoffCount, exact.HandoffBytes, exact.HandoffLinkSeconds)
 	}
 	if got.ThroughputTPS != exact.ThroughputTPS || got.GoodputTPS != exact.GoodputTPS ||
 		got.PromptTPS != exact.PromptTPS {
