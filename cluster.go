@@ -392,11 +392,7 @@ func (sc ClusterScenario) Validate() error {
 	if len(sc.Fleet) > 0 {
 		initial = FleetReplicas(sc.Fleet)
 	}
-	effMin := max(sc.MinReplicas, 1)
-	effMax := sc.MaxReplicas
-	if effMax == 0 {
-		effMax = max(initial, effMin)
-	}
+	effMin, effMax := cluster.PoolBounds(sc.MinReplicas, sc.MaxReplicas, initial)
 	if effMax < effMin {
 		return &ConfigError{Field: "MaxReplicas", Value: sc.MaxReplicas,
 			Reason: fmt.Sprintf("below MinReplicas %d", sc.MinReplicas)}
@@ -471,11 +467,7 @@ func (sc ClusterScenario) validateDisaggregation() error {
 		if lo < 0 || hi < 0 {
 			return &ConfigError{Field: field, Value: lo, Reason: "pool replica bounds must not be negative"}
 		}
-		effMin := max(lo, 1)
-		effMax := hi
-		if effMax == 0 {
-			effMax = max(initial, effMin)
-		}
+		effMin, effMax := cluster.PoolBounds(lo, hi, initial)
 		if effMax < effMin {
 			return &ConfigError{Field: field, Value: hi, Reason: fmt.Sprintf("pool max below min %d", lo)}
 		}
@@ -611,18 +603,22 @@ func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster
 	if err != nil {
 		return nil, err
 	}
-	// A disaggregated fleet scales per pool: the same policy is
-	// instantiated twice so each pool's hysteresis state is its own.
-	var scaler, prefillScaler, decodeScaler cluster.Autoscaler
+	// The policy is instantiated once per pool, so each pool's
+	// hysteresis state is its own.
+	scaling := map[cluster.Role]cluster.PoolScaling{
+		cluster.RoleUnified: {Min: sc.MinReplicas, Max: sc.MaxReplicas},
+	}
 	if disagg {
-		if prefillScaler, err = sc.buildAutoscaler(); err != nil {
+		scaling = map[cluster.Role]cluster.PoolScaling{
+			cluster.RolePrefill: {Min: sc.PrefillMinReplicas, Max: sc.PrefillMaxReplicas},
+			cluster.RoleDecode:  {Min: sc.DecodeMinReplicas, Max: sc.DecodeMaxReplicas},
+		}
+	}
+	for role, ps := range scaling {
+		if ps.Scaler, err = sc.buildAutoscaler(); err != nil {
 			return nil, err
 		}
-		if decodeScaler, err = sc.buildAutoscaler(); err != nil {
-			return nil, err
-		}
-	} else if scaler, err = sc.buildAutoscaler(); err != nil {
-		return nil, err
+		scaling[role] = ps
 	}
 	events, err := fleetEventsInternal(sc.FleetEvents)
 	if err != nil {
@@ -671,16 +667,8 @@ func (sc ClusterScenario) build(onRecord func(*metrics.RequestRecord)) (*cluster
 		DecodeRouter:   decodeRouter,
 		Admission:      admission,
 		Classes:        classes,
-		Autoscaler:     scaler,
-		PrefillScaler:  prefillScaler,
-		DecodeScaler:   decodeScaler,
+		Scaling:        scaling,
 		ScaleTick:      simtime.FromStd(sc.ScaleTick),
-		MinReplicas:    sc.MinReplicas,
-		MaxReplicas:    sc.MaxReplicas,
-		PrefillMin:     sc.PrefillMinReplicas,
-		PrefillMax:     sc.PrefillMaxReplicas,
-		DecodeMin:      sc.DecodeMinReplicas,
-		DecodeMax:      sc.DecodeMaxReplicas,
 		ProvisionDelay: simtime.FromStd(sc.ProvisionDelay),
 		Events:         events,
 		Obs:            rec,

@@ -37,10 +37,8 @@ func BenchmarkAutoscaleRamp(b *testing.B) {
 			NewReplica:     factory,
 			Router:         r,
 			Classes:        scaleClasses(),
-			Autoscaler:     scaler,
+			Scaling:        map[Role]PoolScaling{RoleUnified: {Scaler: scaler, Min: 2, Max: 16}},
 			ScaleTick:      100 * simtime.Millisecond,
-			MinReplicas:    2,
-			MaxReplicas:    16,
 			ProvisionDelay: 200 * simtime.Millisecond,
 		})
 		if err != nil {

@@ -112,8 +112,8 @@ func autoscaledCluster(t testing.TB, cfg Config) *Cluster {
 }
 
 // TestAutoscaleGrowsAndClamps: a one-replica fleet under a burst with a
-// tiny queue target must grow, but never beyond MaxReplicas; once the
-// queue drains, the fleet must shrink back to MinReplicas (the clamp
+// tiny queue target must grow, but never beyond the pool's Max; once
+// the queue drains, the fleet must shrink back to its Min (the clamp
 // floor), never below.
 func TestAutoscaleGrowsAndClamps(t *testing.T) {
 	scaler, err := NewAutoscaler(ScaleQueueDepth, AutoscalerConfig{QueueTarget: 1})
@@ -121,11 +121,9 @@ func TestAutoscaleGrowsAndClamps(t *testing.T) {
 		t.Fatal(err)
 	}
 	c := autoscaledCluster(t, Config{
-		Replicas:    1,
-		Autoscaler:  scaler,
-		ScaleTick:   100 * simtime.Millisecond,
-		MinReplicas: 1,
-		MaxReplicas: 3,
+		Replicas:  1,
+		Scaling:   map[Role]PoolScaling{RoleUnified: {Scaler: scaler, Min: 1, Max: 3}},
+		ScaleTick: 100 * simtime.Millisecond,
 	})
 	rep, err := c.Run(testTrace(t, 60))
 	if err != nil {
@@ -253,7 +251,7 @@ func TestProvisioningDelay(t *testing.T) {
 	const delay = 2 * simtime.Second
 	c := autoscaledCluster(t, Config{
 		Replicas:       1,
-		MaxReplicas:    2,
+		Scaling:        map[Role]PoolScaling{RoleUnified: {Max: 2}},
 		ProvisionDelay: delay,
 		Events: []workload.FleetEvent{
 			{Time: simtime.Time(simtime.Second), Kind: workload.EventScale, Replicas: 2},
@@ -307,10 +305,8 @@ func TestAutoscaledDeterministic(t *testing.T) {
 		}
 		c := autoscaledCluster(t, Config{
 			Replicas:       2,
-			Autoscaler:     scaler,
+			Scaling:        map[Role]PoolScaling{RoleUnified: {Scaler: scaler, Min: 2, Max: 6}},
 			ScaleTick:      200 * simtime.Millisecond,
-			MinReplicas:    2,
-			MaxReplicas:    6,
 			ProvisionDelay: 300 * simtime.Millisecond,
 			Events: []workload.FleetEvent{
 				{Time: simtime.Time(simtime.Second), Kind: workload.EventFail, Replica: 1},

@@ -12,7 +12,7 @@
 // queued requests) are exact at the routing instant and the whole
 // cluster behaves as one discrete-event simulation over a shared clock.
 //
-// The fleet is dynamic: an optional Autoscaler resizes it on a
+// The fleet is dynamic: optional per-pool autoscalers resize it on a
 // simulated-time tick, and injected fleet events (workload.FleetEvent)
 // fail, drain, or scale replicas mid-run. Replicas move through a
 // lifecycle — provisioning (cold start), active (routable), draining
@@ -106,37 +106,17 @@ type Config struct {
 	// here get no SLO (always attained).
 	Classes []workload.Class
 
-	// Autoscaler, when non-nil, re-evaluates the fleet size every
-	// ScaleTick of simulated time, clamped to [MinReplicas,
-	// MaxReplicas]. Unified fleets only; disaggregated clusters scale
-	// per pool through PrefillScaler/DecodeScaler.
-	Autoscaler Autoscaler
+	// Scaling sizes each serving pool, keyed by the pool's role:
+	// RoleUnified on a unified fleet, RolePrefill and RoleDecode on a
+	// disaggregated one. A pool with no Scaler keeps its size; scale
+	// events still resize a unified pool within its bounds. An entry for
+	// a role that has no slots is ignored, and a missing entry is a pool
+	// with no scaler and default bounds.
+	Scaling map[Role]PoolScaling
 
-	// PrefillScaler / DecodeScaler resize the two pools of a
-	// disaggregated cluster independently on the shared ScaleTick: the
-	// prefill view's IntervalAttained counts completions that met their
-	// class TTFT target, the decode view's counts TPOT attainment, so an
-	// slo-target policy scales each pool against the latency phase it
-	// owns. Set both or neither.
-	PrefillScaler Autoscaler
-	DecodeScaler  Autoscaler
-
-	// ScaleTick is the autoscaler evaluation interval (> 0 when any
-	// scaler is set).
+	// ScaleTick is the evaluation interval shared by every pool's
+	// scaler (> 0 when any pool has one).
 	ScaleTick simtime.Duration
-
-	// MinReplicas / MaxReplicas clamp scaling decisions (autoscaler
-	// ticks and scale events). Zero values default to 1 and
-	// max(Replicas, MinReplicas) respectively.
-	MinReplicas int
-	MaxReplicas int
-
-	// Per-pool clamps for disaggregated scaling. Zero values default to
-	// 1 and max(initial pool size, min) respectively.
-	PrefillMin int
-	PrefillMax int
-	DecodeMin  int
-	DecodeMax  int
 
 	// ProvisionDelay is the cold-start time of a scaled-up replica:
 	// provisioned at t, it starts serving at t+ProvisionDelay.
@@ -144,7 +124,9 @@ type Config struct {
 
 	// Events are fleet changes injected at fixed simulated times
 	// (failures, planned scales, drains). Applied in time order, stable
-	// on spec order; events after the cluster drains are ignored.
+	// on spec order; events after the cluster drains are ignored. Scale
+	// events resize a unified fleet; the caller refuses them on a
+	// disaggregated one, as it refuses malformed events.
 	Events []workload.FleetEvent
 
 	// Obs, when non-nil, records routing/admission/autoscaling decision
@@ -171,6 +153,62 @@ type Config struct {
 	// The record is recycled after the callback returns, so the callback
 	// must not retain the pointer.
 	OnRecord func(*metrics.RequestRecord)
+}
+
+// PoolScaling sizes one serving pool.
+type PoolScaling struct {
+	// Scaler, when non-nil, re-evaluates the pool's size every
+	// ScaleTick. Its FleetView counts only the pool's replicas, and
+	// IntervalAttained counts the completions that met the latency
+	// target the pool owns: the whole class SLO on a unified fleet, TTFT
+	// for the prefill pool, TPOT for the decode pool.
+	Scaler Autoscaler
+
+	// Min / Max clamp the pool's scaling decisions (scaler ticks and
+	// scale events); PoolBounds gives the defaults for zero values.
+	Min, Max int
+}
+
+// PoolBounds returns a pool's effective scaling bounds: a zero lo
+// defaults to 1 and a zero hi to max(initial pool size, lo).
+func PoolBounds(lo, hi, initial int) (int, int) {
+	lo = max(lo, 1)
+	if hi == 0 {
+		hi = max(initial, lo)
+	}
+	return lo, hi
+}
+
+// pool is one serving pool's scaling state.
+type pool struct {
+	role   Role
+	scaler Autoscaler
+	policy string // decision-record name: the scaler's, plus "/role" when split
+	lo, hi int    // effective bounds (PoolBounds)
+
+	// attained counts completions since the last tick that met the
+	// latency target the pool owns.
+	attained int
+}
+
+// met reports whether a completion met the pool's latency target,
+// given whether it met its TTFT and TPOT targets: TTFT for prefill,
+// TPOT for decode, both on a unified pool (exactly
+// RequestRecord.MeetsSLO).
+func (p *pool) met(ttft, tpot bool) bool {
+	switch p.role {
+	case RolePrefill:
+		return ttft
+	case RoleDecode:
+		return tpot
+	}
+	return ttft && tpot
+}
+
+// phasesMet reports whether a completed record met its class TTFT and
+// TPOT targets; a zero target always attains.
+func phasesMet(rec *metrics.RequestRecord, slo metrics.SLO) (ttft, tpot bool) {
+	return slo.TTFT <= 0 || rec.TTFT() <= slo.TTFT, slo.TPOT <= 0 || rec.TPOT() <= slo.TPOT
 }
 
 // lifecycle is a replica's position in the dynamic-fleet state machine.
@@ -220,43 +258,38 @@ type Cluster struct {
 	replicas  []*replica
 	router    Router
 	admission Admission
-	scaler    Autoscaler
-	minRep    int
-	maxRep    int
 	slos      map[string]metrics.SLO
 	records   []metrics.RequestRecord
 
+	// Serving pools in a fixed order: unified, or prefill then decode
+	// (poolOf). scaled is set when any pool has a scaler.
+	pools  []pool
+	scaled bool
+
 	// Streaming-metrics state (Config.StreamMetrics): retain is false
 	// when records are not kept, in-flight records then live in a
-	// recycled pool keyed by request ID, terminal outcomes fold into
-	// accum, and routedTo counts completed placements per slot (the
-	// per-replica Requests column the records loop would otherwise
-	// produce). prefillSrcM replaces the prefillOf slice for in-flight
-	// disaggregated requests.
-	retain      bool
-	accum       *metrics.RequestAccumulator
-	inflight    map[int]*metrics.RequestRecord
-	recFree     []*metrics.RequestRecord
-	routedTo    []int
-	prefillSrcM map[int]int32
+	// recycled pool keyed by request ID, and terminal outcomes fold into
+	// accum.
+	retain   bool
+	accum    *metrics.RequestAccumulator
+	inflight map[int]*metrics.RequestRecord
+	recFree  []*metrics.RequestRecord
 
-	// Disaggregation state: the stage-2 router, per-pool scalers and
-	// clamps, per-record prefill source slots (for handoff pricing on
-	// decode requeues), per-slot placement counters, and the handoff
-	// transfer rollup.
-	disagg        bool
-	decodeRouter  Router
-	prefillScaler Autoscaler
-	decodeScaler  Autoscaler
-	prefMin       int
-	prefMax       int
-	decMin        int
-	decMax        int
-	prefillOf     []int32
-	placed        []int
-	handoffCount  int
-	handoffBytes  int64
-	handoffLink   simtime.Duration
+	// routedTo counts completions per slot (a unified replica's
+	// Requests column); placed counts placements per slot, requeues
+	// included (a disaggregated replica's).
+	routedTo []int
+	placed   []int
+
+	// Disaggregation state: the stage-2 router, the prefill source slot
+	// of each in-flight handed-off request (for handoff pricing on
+	// decode requeues), and the handoff transfer rollup.
+	disagg       bool
+	decodeRouter Router
+	prefillSrc   map[int]int32
+	handoffCount int
+	handoffBytes int64
+	handoffLink  simtime.Duration
 
 	// Replica stepping is driven off a min-heap of next-event times, so
 	// advancing the cluster to an instant touches only replicas with
@@ -276,35 +309,27 @@ type Cluster struct {
 	timeline []metrics.FleetPoint
 	requeued int
 
-	// SLO attainment over the current autoscaler tick interval. Unified
-	// fleets track whole-SLO attainment; disaggregated fleets split it
-	// into the TTFT component (prefill pool signal) and the TPOT
-	// component (decode pool signal).
+	// Completions over the current autoscaler tick interval (each
+	// pool counts its own attained share).
 	intervalCompleted int
-	intervalAttained  int
-	intervalTTFT      int
-	intervalTPOT      int
 
 	statesBuf []ReplicaState
 	candBuf   []obs.Candidate
 }
 
-// New validates the configuration and builds the initial replicas.
+// New builds the initial replicas and the serving pools. It trusts the
+// caller to have checked the scenario rules (scaling bounds, provision
+// delay, fleet events); the root package's ClusterScenario.Validate is
+// where they live. New refuses only what it cannot build: no replicas,
+// no factory, a role list of the wrong length, a role structure that
+// is neither one unified pool nor non-empty prefill and decode pools,
+// and a scaler without a positive tick (the tick would never advance).
 func New(cfg Config) (*Cluster, error) {
 	if cfg.Replicas < 1 {
 		return nil, fmt.Errorf("cluster: replica count must be >= 1, got %d", cfg.Replicas)
 	}
 	if cfg.NewReplica == nil {
 		return nil, fmt.Errorf("cluster: nil replica factory")
-	}
-	if cfg.Autoscaler != nil && cfg.ScaleTick <= 0 {
-		return nil, fmt.Errorf("cluster: autoscaler %s needs a positive scale tick", cfg.Autoscaler.Name())
-	}
-	if (cfg.PrefillScaler == nil) != (cfg.DecodeScaler == nil) {
-		return nil, fmt.Errorf("cluster: per-pool autoscaling needs both a prefill and a decode scaler")
-	}
-	if cfg.PrefillScaler != nil && cfg.ScaleTick <= 0 {
-		return nil, fmt.Errorf("cluster: per-pool autoscalers need a positive scale tick")
 	}
 	if cfg.Roles != nil && len(cfg.Roles) != cfg.Replicas {
 		return nil, fmt.Errorf("cluster: %d roles for %d replicas", len(cfg.Roles), cfg.Replicas)
@@ -324,6 +349,7 @@ func New(cfg Config) (*Cluster, error) {
 		}
 	}
 	disagg := prefillN > 0 || decodeN > 0
+	roles, sizes := []Role{RoleUnified}, []int{cfg.Replicas}
 	if disagg {
 		if unifiedN > 0 {
 			return nil, fmt.Errorf("cluster: cannot mix unified replicas with prefill/decode pools")
@@ -331,54 +357,31 @@ func New(cfg Config) (*Cluster, error) {
 		if prefillN == 0 || decodeN == 0 {
 			return nil, fmt.Errorf("cluster: disaggregation needs at least one prefill and one decode replica, got %d/%d", prefillN, decodeN)
 		}
-		if cfg.Autoscaler != nil {
-			return nil, fmt.Errorf("cluster: a disaggregated fleet scales per pool; set PrefillScaler/DecodeScaler instead of Autoscaler")
-		}
-		for _, ev := range cfg.Events {
-			if ev.Kind == workload.EventScale {
-				return nil, fmt.Errorf("cluster: scale fleet events are ambiguous on a disaggregated fleet; drain or fail per-pool replicas instead")
-			}
-		}
-	} else if cfg.PrefillScaler != nil {
-		return nil, fmt.Errorf("cluster: per-pool autoscalers require a disaggregated fleet")
-	}
-	if cfg.MinReplicas < 0 || cfg.MaxReplicas < 0 {
-		return nil, fmt.Errorf("cluster: negative replica bounds [%d, %d]", cfg.MinReplicas, cfg.MaxReplicas)
-	}
-	minRep := cfg.MinReplicas
-	if minRep == 0 {
-		minRep = 1
-	}
-	maxRep := cfg.MaxReplicas
-	if maxRep == 0 {
-		maxRep = max(cfg.Replicas, minRep)
-	}
-	if maxRep < minRep {
-		return nil, fmt.Errorf("cluster: max replicas %d below min %d", maxRep, minRep)
-	}
-	if cfg.Replicas > maxRep {
-		return nil, fmt.Errorf("cluster: initial replicas %d exceed max %d", cfg.Replicas, maxRep)
-	}
-	if cfg.ProvisionDelay < 0 {
-		return nil, fmt.Errorf("cluster: negative provision delay %v", cfg.ProvisionDelay)
-	}
-	for _, ev := range cfg.Events {
-		if err := ev.Validate(); err != nil {
-			return nil, err
-		}
+		roles, sizes = []Role{RolePrefill, RoleDecode}, []int{prefillN, decodeN}
 	}
 	c := &Cluster{
-		cfg:           cfg,
-		router:        cfg.Router,
-		admission:     cfg.Admission,
-		scaler:        cfg.Autoscaler,
-		minRep:        minRep,
-		maxRep:        maxRep,
-		slos:          map[string]metrics.SLO{},
-		disagg:        disagg,
-		decodeRouter:  cfg.DecodeRouter,
-		prefillScaler: cfg.PrefillScaler,
-		decodeScaler:  cfg.DecodeScaler,
+		cfg:          cfg,
+		router:       cfg.Router,
+		admission:    cfg.Admission,
+		slos:         map[string]metrics.SLO{},
+		disagg:       disagg,
+		decodeRouter: cfg.DecodeRouter,
+	}
+	for i, role := range roles {
+		ps := cfg.Scaling[role]
+		p := pool{role: role, scaler: ps.Scaler}
+		p.lo, p.hi = PoolBounds(ps.Min, ps.Max, sizes[i])
+		if ps.Scaler != nil {
+			if cfg.ScaleTick <= 0 {
+				return nil, fmt.Errorf("cluster: autoscaler %s needs a positive scale tick", ps.Scaler.Name())
+			}
+			p.policy = ps.Scaler.Name()
+			if disagg {
+				p.policy += "/" + role.String()
+			}
+			c.scaled = true
+		}
+		c.pools = append(c.pools, p)
 	}
 	if c.router == nil {
 		c.router = &roundRobin{}
@@ -388,15 +391,6 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	if c.admission == nil {
 		c.admission = admitAll{}
-	}
-	if disagg {
-		var err error
-		if c.prefMin, c.prefMax, err = poolClamps("prefill", cfg.PrefillMin, cfg.PrefillMax, prefillN); err != nil {
-			return nil, err
-		}
-		if c.decMin, c.decMax, err = poolClamps("decode", cfg.DecodeMin, cfg.DecodeMax, decodeN); err != nil {
-			return nil, err
-		}
 	}
 	for _, cl := range cfg.Classes {
 		c.slos[cl.Name] = metrics.SLO{TTFT: cl.TTFT, TPOT: cl.TPOT}
@@ -415,24 +409,12 @@ func New(cfg Config) (*Cluster, error) {
 	return c, nil
 }
 
-// poolClamps validates and defaults one pool's scaling bounds.
-func poolClamps(pool string, lo, hi, initial int) (int, int, error) {
-	if lo < 0 || hi < 0 {
-		return 0, 0, fmt.Errorf("cluster: negative %s replica bounds [%d, %d]", pool, lo, hi)
+// poolOf returns the index in Cluster.pools of the pool serving role.
+func poolOf(role Role) int {
+	if role == RoleDecode {
+		return 1
 	}
-	if lo == 0 {
-		lo = 1
-	}
-	if hi == 0 {
-		hi = max(initial, lo)
-	}
-	if hi < lo {
-		return 0, 0, fmt.Errorf("cluster: max %s replicas %d below min %d", pool, hi, lo)
-	}
-	if initial > hi {
-		return 0, 0, fmt.Errorf("cluster: initial %s replicas %d exceed max %d", pool, initial, hi)
-	}
-	return lo, hi, nil
+	return 0
 }
 
 // addReplica appends a fleet slot in the given lifecycle state and pool.
@@ -457,9 +439,7 @@ func (c *Cluster) addReplica(t simtime.Time, state lifecycle, role Role) (*repli
 	rep := &replica{sim: sim, state: state, role: role, cost: cost, created: t}
 	c.replicas = append(c.replicas, rep)
 	c.placed = append(c.placed, 0)
-	if c.routedTo != nil {
-		c.routedTo = append(c.routedTo, 0)
-	}
+	c.routedTo = append(c.routedTo, 0)
 	if state == stateProvisioning {
 		c.provisioning++
 	}
@@ -478,9 +458,6 @@ func (c *Cluster) newRecord(r workload.Request) *metrics.RequestRecord {
 			Arrival: r.Arrival,
 			Session: r.Session, Turn: r.Turn, SessionTurns: r.SessionTurns,
 		})
-		if c.disagg {
-			c.prefillOf = append(c.prefillOf, 0)
-		}
 		return &c.records[len(c.records)-1]
 	}
 	var rec *metrics.RequestRecord
@@ -513,7 +490,8 @@ func (c *Cluster) rec(id int) *metrics.RequestRecord {
 
 // finish closes a record at its terminal event (completion or
 // rejection): fold it into the streaming accumulator, hand it to the
-// row sink, and — in streaming mode — recycle it.
+// row sink, forget its prefill source, and — in streaming mode —
+// recycle it.
 func (c *Cluster) finish(rec *metrics.RequestRecord) {
 	if c.accum != nil {
 		c.accum.Observe(rec)
@@ -521,31 +499,11 @@ func (c *Cluster) finish(rec *metrics.RequestRecord) {
 	if c.cfg.OnRecord != nil {
 		c.cfg.OnRecord(rec)
 	}
+	delete(c.prefillSrc, rec.ID)
 	if !c.retain {
 		delete(c.inflight, rec.ID)
-		if c.prefillSrcM != nil {
-			delete(c.prefillSrcM, rec.ID)
-		}
 		c.recFree = append(c.recFree, rec)
 	}
-}
-
-// setPrefillSrc records which prefill slot produced a disaggregated
-// request's KV cache (for handoff re-pricing on decode requeues).
-func (c *Cluster) setPrefillSrc(id int, from int32) {
-	if c.retain {
-		c.prefillOf[id] = from
-		return
-	}
-	c.prefillSrcM[id] = from
-}
-
-// prefillSrcOf returns the prefill slot recorded by setPrefillSrc.
-func (c *Cluster) prefillSrcOf(id int) int32 {
-	if c.retain {
-		return c.prefillOf[id]
-	}
-	return c.prefillSrcM[id]
 }
 
 // complete records one request finishing on its replica (placement was
@@ -581,25 +539,16 @@ func (c *Cluster) complete(f sched.Finished) {
 	if c.cfg.Obs != nil {
 		c.cfg.Obs.Outcome(id, rec.TTFT(), rec.TPOT())
 	}
-	if c.scaler != nil {
+	if c.scaled {
 		c.intervalCompleted++
-		if rec.MeetsSLO(c.slos[rec.Class]) {
-			c.intervalAttained++
+		ttft, tpot := phasesMet(rec, c.slos[rec.Class])
+		for i := range c.pools {
+			if c.pools[i].met(ttft, tpot) {
+				c.pools[i].attained++
+			}
 		}
 	}
-	if c.prefillScaler != nil {
-		slo := c.slos[rec.Class]
-		c.intervalCompleted++
-		if !(slo.TTFT > 0 && rec.TTFT() > slo.TTFT) {
-			c.intervalTTFT++
-		}
-		if !(slo.TPOT > 0 && rec.TPOT() > slo.TPOT) {
-			c.intervalTPOT++
-		}
-	}
-	if c.routedTo != nil {
-		c.routedTo[rec.Replica]++
-	}
+	c.routedTo[rec.Replica]++
 	c.finish(rec)
 }
 
@@ -639,7 +588,7 @@ func (c *Cluster) handoff(f sched.Finished, rec *metrics.RequestRecord) {
 	c.handoffCount++
 	c.handoffBytes += bytes
 	c.handoffLink += dur
-	c.setPrefillSrc(id, int32(from))
+	c.prefillSrc[id] = int32(from)
 	if c.cfg.Obs != nil {
 		c.cfg.Obs.Handoff(from, target, id, rec.Class, f.Completed, dur, bytes)
 		c.recordRoute(f.Completed, dr, states, idx, c.decodeRouter.Name(), 2, false)
@@ -794,19 +743,14 @@ func (c *Cluster) run(ctx context.Context, src arrivalSource) (*Report, error) {
 	c.retain = !c.cfg.StreamMetrics
 	if c.retain {
 		c.records = make([]metrics.RequestRecord, 0, src.hint)
-		if c.disagg {
-			c.prefillOf = make([]int32, 0, src.hint)
-		}
 	} else {
 		c.accum = metrics.NewRequestAccumulator(c.slos)
 		c.inflight = make(map[int]*metrics.RequestRecord)
-		if c.disagg {
-			c.prefillSrcM = make(map[int]int32)
-		} else {
-			c.routedTo = make([]int, len(c.replicas))
-		}
 	}
-	if c.scaler != nil || c.prefillScaler != nil {
+	if c.disagg {
+		c.prefillSrc = make(map[int]int32)
+	}
+	if c.scaled {
 		c.nextTick = simtime.Time(c.cfg.ScaleTick)
 	}
 	c.mark(0)
@@ -969,7 +913,7 @@ func (c *Cluster) nextControl() (simtime.Time, bool) {
 	if c.fleetCursor < len(c.fleetEvents) && c.fleetEvents[c.fleetCursor].Time.Before(t) {
 		t = c.fleetEvents[c.fleetCursor].Time
 	}
-	if (c.scaler != nil || c.prefillScaler != nil) && c.nextTick.Before(t) {
+	if c.scaled && c.nextTick.Before(t) {
 		t = c.nextTick
 	}
 	return t, t != simtime.Forever
@@ -995,7 +939,7 @@ func (c *Cluster) applyControls(t simtime.Time) error {
 			return err
 		}
 	}
-	if (c.scaler != nil || c.prefillScaler != nil) && !c.nextTick.After(t) {
+	if c.scaled && !c.nextTick.After(t) {
 		if err := c.applyTick(t); err != nil {
 			return err
 		}
@@ -1005,21 +949,19 @@ func (c *Cluster) applyControls(t simtime.Time) error {
 	return nil
 }
 
-// applyTick evaluates the autoscaler(s) against the current fleet view
-// and applies the clamped decision. A disaggregated cluster evaluates
-// each pool over its own role-filtered view: the prefill view's
-// attainment signal is the TTFT component (prefill owns time to first
-// token), the decode view's is the TPOT component.
+// applyTick evaluates every pool's scaler over its own role-filtered
+// view and applies the clamped decisions in pool order. All views are
+// taken before any pool scales, so each pool's decision sees the fleet
+// as it stood at the tick.
 func (c *Cluster) applyTick(t simtime.Time) error {
-	if c.disagg {
-		return c.applyTickDisagg(t)
+	var views [2]FleetView
+	for i := range c.pools {
+		views[i] = FleetView{Time: t, IntervalCompleted: c.intervalCompleted, IntervalAttained: c.pools[i].attained}
+		c.pools[i].attained = 0
 	}
-	view := FleetView{
-		Time:              t,
-		IntervalCompleted: c.intervalCompleted,
-		IntervalAttained:  c.intervalAttained,
-	}
+	c.intervalCompleted = 0
 	for _, rep := range c.replicas {
+		view := &views[poolOf(rep.role)]
 		switch rep.state {
 		case stateProvisioning:
 			view.Provisioning++
@@ -1031,46 +973,19 @@ func (c *Cluster) applyTick(t simtime.Time) error {
 			view.Draining++
 		}
 	}
-	c.intervalCompleted, c.intervalAttained = 0, 0
-	desired := c.scaler.Desired(view)
-	clamped := clampReplicas(desired, c.minRep, c.maxRep)
-	c.cfg.Obs.Scale(t, c.scaler.Name(), view.Active+view.Provisioning, desired, clamped)
-	return c.scaleTo(t, clamped)
-}
-
-// applyTickDisagg runs the per-pool scalers: prefill first, then
-// decode, each over its own view and clamps.
-func (c *Cluster) applyTickDisagg(t simtime.Time) error {
-	pref := FleetView{Time: t, IntervalCompleted: c.intervalCompleted, IntervalAttained: c.intervalTTFT}
-	dec := FleetView{Time: t, IntervalCompleted: c.intervalCompleted, IntervalAttained: c.intervalTPOT}
-	for _, rep := range c.replicas {
-		view := &pref
-		if rep.role == RoleDecode {
-			view = &dec
+	for i := range c.pools {
+		p := &c.pools[i]
+		if p.scaler == nil {
+			continue
 		}
-		switch rep.state {
-		case stateProvisioning:
-			view.Provisioning++
-		case stateActive:
-			view.Active++
-			view.QueuedRequests += rep.sim.QueuedRequests()
-			view.QueuedTokens += rep.sim.QueuedTokens()
-		case stateDraining:
-			view.Draining++
+		desired := p.scaler.Desired(views[i])
+		clamped := clampReplicas(desired, p.lo, p.hi)
+		c.cfg.Obs.Scale(t, p.policy, views[i].Committed(), desired, clamped)
+		if err := c.scalePool(t, clamped, p.role); err != nil {
+			return err
 		}
 	}
-	c.intervalCompleted, c.intervalTTFT, c.intervalTPOT = 0, 0, 0
-
-	desired := c.prefillScaler.Desired(pref)
-	clamped := clampReplicas(desired, c.prefMin, c.prefMax)
-	c.cfg.Obs.Scale(t, c.prefillScaler.Name()+"/prefill", pref.Active+pref.Provisioning, desired, clamped)
-	if err := c.scalePool(t, clamped, RolePrefill); err != nil {
-		return err
-	}
-	desired = c.decodeScaler.Desired(dec)
-	clamped = clampReplicas(desired, c.decMin, c.decMax)
-	c.cfg.Obs.Scale(t, c.decodeScaler.Name()+"/decode", dec.Active+dec.Provisioning, desired, clamped)
-	return c.scalePool(t, clamped, RoleDecode)
+	return nil
 }
 
 // applyFleetEvent applies one injected fleet change.
@@ -1084,7 +999,8 @@ func (c *Cluster) applyFleetEvent(t simtime.Time, ev workload.FleetEvent) error 
 	}
 	switch ev.Kind {
 	case workload.EventScale:
-		return c.scaleTo(t, clampReplicas(ev.Replicas, c.minRep, c.maxRep))
+		p := &c.pools[0] // the unified pool
+		return c.scalePool(t, clampReplicas(ev.Replicas, p.lo, p.hi), RoleUnified)
 	case workload.EventDrain, workload.EventFail:
 		if ev.Replica >= len(c.replicas) {
 			return fmt.Errorf("cluster: fleet event %s targets replica %d, but the fleet has %d slots at %v",
@@ -1097,12 +1013,6 @@ func (c *Cluster) applyFleetEvent(t simtime.Time, ev workload.FleetEvent) error 
 	default:
 		return fmt.Errorf("cluster: unknown fleet event kind %d", int(ev.Kind))
 	}
-}
-
-// scaleTo provisions or drains replicas until the committed count
-// (active + provisioning) reaches desired. Unified fleets only.
-func (c *Cluster) scaleTo(t simtime.Time, desired int) error {
-	return c.scalePool(t, desired, RoleUnified)
 }
 
 // scalePool provisions or drains replicas of one role until the pool's
@@ -1268,7 +1178,7 @@ func (c *Cluster) redistribute(t simtime.Time, reqs []workload.Request, role Rol
 			c.handoffBytes += bytes
 			c.handoffLink += dur
 			if c.cfg.Obs != nil {
-				c.cfg.Obs.Handoff(int(c.prefillSrcOf(r.ID)), target, r.ID, r.Class, t, dur, bytes)
+				c.cfg.Obs.Handoff(int(c.prefillSrc[r.ID]), target, r.ID, r.Class, t, dur, bytes)
 			}
 		}
 		if c.cfg.Obs != nil {

@@ -152,11 +152,8 @@ func (c *Cluster) report() *Report {
 		Records:       c.records,
 		FleetTimeline: c.timeline,
 	}
-	if c.scaler != nil {
-		r.Scaler = c.scaler.Name()
-	}
-	if c.prefillScaler != nil {
-		r.Scaler = c.prefillScaler.Name()
+	if s := c.pools[0].scaler; s != nil {
+		r.Scaler = s.Name()
 	}
 	if c.disagg {
 		r.DecodeRouter = c.decodeRouter.Name()
@@ -165,6 +162,13 @@ func (c *Cluster) report() *Report {
 		r.HandoffLinkSeconds = c.handoffLink.Seconds()
 	}
 
+	// A unified replica's requests are the completions it served; a
+	// disaggregated request ends on its decode slot, so per-slot counts
+	// there are placements instead.
+	requests := c.routedTo
+	if c.disagg {
+		requests = c.placed
+	}
 	perReplica := make([]ReplicaSummary, len(c.replicas))
 	for i, rep := range c.replicas {
 		srep := rep.sim.Report()
@@ -173,6 +177,7 @@ func (c *Cluster) report() *Report {
 			Backend:    srep.Backend,
 			Role:       rep.role.String(),
 			State:      rep.state.String(),
+			Requests:   requests[i],
 			Iterations: srep.Iterations,
 			SimEnd:     srep.SimEnd,
 			PromptTPS:  srep.PromptTPS,
@@ -226,17 +231,12 @@ func (c *Cluster) report() *Report {
 				continue
 			}
 			r.Admitted++
-			if !c.disagg {
-				// A unified record's Replica is its (single) serving slot; a
-				// disaggregated one ends on its decode slot, so per-slot
-				// request counts come from placement counters instead.
-				perReplica[rec.Replica].Requests++
-			} else {
-				slo := c.slos[rec.Class]
-				if !(slo.TTFT > 0 && rec.TTFT() > slo.TTFT) {
+			if c.disagg {
+				ttft, tpot := phasesMet(&rec, c.slos[rec.Class])
+				if ttft {
 					prefGoodToks += int64(rec.InputLen)
 				}
-				if !(slo.TPOT > 0 && rec.TPOT() > slo.TPOT) {
+				if tpot {
 					decGoodToks += int64(rec.OutputLen)
 				}
 			}
@@ -255,22 +255,13 @@ func (c *Cluster) report() *Report {
 		promptTokens = c.accum.PromptTokens()
 		prefGoodToks = c.accum.AttainedPrefillTokens()
 		decGoodToks = c.accum.AttainedDecodeTokens()
-		if !c.disagg {
-			for i, n := range c.routedTo {
-				perReplica[i].Requests = n
-			}
-		}
 	}
 	if c.disagg {
 		pools := []PoolStats{{Role: RolePrefill.String()}, {Role: RoleDecode.String()}}
 		for i, rep := range c.replicas {
-			p := &pools[0]
-			if rep.role == RoleDecode {
-				p = &pools[1]
-			}
+			p := &pools[poolOf(rep.role)]
 			p.Slots++
 			p.Requests += c.placed[i]
-			perReplica[i].Requests = c.placed[i]
 			p.ReplicaSeconds += perReplica[i].ReplicaSeconds
 			p.CostProxy += perReplica[i].ReplicaSeconds * rep.cost
 		}

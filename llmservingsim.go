@@ -726,24 +726,45 @@ func SaveTrace(path string, trace []Request) error {
 	return workload.SaveTSVFile(path, toWorkload(trace))
 }
 
-// toWorkload converts a public trace into the internal request form —
-// the single canonical conversion (IDs are trace indices, arrivals at
-// simtime resolution).
+// internalRequest carries one public request across the API boundary
+// with the given ID, its arrival at simtime resolution. It and
+// publicRequest are the only field-by-field conversions.
+func internalRequest(r Request, id int) workload.Request {
+	return workload.Request{
+		ID:           id,
+		InputLen:     r.InputLen,
+		OutputLen:    r.OutputLen,
+		Arrival:      simtime.Time(simtime.FromStd(r.Arrival)),
+		Class:        r.Class,
+		PrefixLen:    r.PrefixLen,
+		PrefixKey:    r.PrefixKey,
+		Session:      r.Session,
+		Turn:         r.Turn,
+		SessionTurns: r.SessionTurns,
+	}
+}
+
+// publicRequest lifts one internal request across the API boundary.
+func publicRequest(r workload.Request) Request {
+	return Request{
+		InputLen:     r.InputLen,
+		OutputLen:    r.OutputLen,
+		Arrival:      simtime.Duration(r.Arrival).Std(),
+		Class:        r.Class,
+		PrefixLen:    r.PrefixLen,
+		PrefixKey:    r.PrefixKey,
+		Session:      r.Session,
+		Turn:         r.Turn,
+		SessionTurns: r.SessionTurns,
+	}
+}
+
+// toWorkload converts a public trace into the internal request form,
+// numbering requests by trace index.
 func toWorkload(trace []Request) []workload.Request {
 	out := make([]workload.Request, len(trace))
 	for i, r := range trace {
-		out[i] = workload.Request{
-			ID:           i,
-			InputLen:     r.InputLen,
-			OutputLen:    r.OutputLen,
-			Arrival:      simtime.Time(simtime.FromStd(r.Arrival)),
-			Class:        r.Class,
-			PrefixLen:    r.PrefixLen,
-			PrefixKey:    r.PrefixKey,
-			Session:      r.Session,
-			Turn:         r.Turn,
-			SessionTurns: r.SessionTurns,
-		}
+		out[i] = internalRequest(r, i)
 	}
 	return out
 }
@@ -751,17 +772,7 @@ func toWorkload(trace []Request) []workload.Request {
 func fromWorkload(reqs []workload.Request) []Request {
 	out := make([]Request, len(reqs))
 	for i, r := range reqs {
-		out[i] = Request{
-			InputLen:     r.InputLen,
-			OutputLen:    r.OutputLen,
-			Arrival:      simtime.Duration(r.Arrival).Std(),
-			Class:        r.Class,
-			PrefixLen:    r.PrefixLen,
-			PrefixKey:    r.PrefixKey,
-			Session:      r.Session,
-			Turn:         r.Turn,
-			SessionTurns: r.SessionTurns,
-		}
+		out[i] = publicRequest(r)
 	}
 	return out
 }

@@ -11,7 +11,6 @@ import (
 	"io"
 	"os"
 
-	"repro/internal/simtime"
 	"repro/internal/workload"
 )
 
@@ -105,22 +104,6 @@ func ParseSessionSpec(spec string) (SessionSpec, error) {
 	}
 	return SessionSpec{MeanTurns: s.MeanTurns, ThinkMean: s.ThinkMean,
 		ThinkSigma: s.ThinkSigma, MaxContext: s.MaxContext}, nil
-}
-
-// publicRequest lifts one internal request across the API boundary —
-// the single-request form of fromWorkload.
-func publicRequest(r workload.Request) Request {
-	return Request{
-		InputLen:     r.InputLen,
-		OutputLen:    r.OutputLen,
-		Arrival:      simtime.Duration(r.Arrival).Std(),
-		Class:        r.Class,
-		PrefixLen:    r.PrefixLen,
-		PrefixKey:    r.PrefixKey,
-		Session:      r.Session,
-		Turn:         r.Turn,
-		SessionTurns: r.SessionTurns,
-	}
 }
 
 // PopulationStream generates session traffic from a client population
@@ -272,8 +255,7 @@ func (r *RecordingStream) Next() (Request, bool) {
 	if !ok {
 		return Request{}, false
 	}
-	w := toWorkload([]Request{req})[0]
-	r.w.Write(w)
+	r.w.Write(internalRequest(req, 0))
 	return req, true
 }
 

@@ -7,10 +7,7 @@ package llmservingsim
 // engine's memory footprint flat in the request count (see the README's
 // "Scaling to millions of requests").
 
-import (
-	"repro/internal/simtime"
-	"repro/internal/workload"
-)
+import "repro/internal/workload"
 
 // RequestStream is a pull-based arrival source. Next returns the
 // following request, or false when the stream is exhausted. Arrivals
@@ -78,17 +75,7 @@ func (a streamAdapter) Next() (workload.Request, bool) {
 	if !ok {
 		return workload.Request{}, false
 	}
-	return workload.Request{
-		InputLen:     r.InputLen,
-		OutputLen:    r.OutputLen,
-		Arrival:      simtime.Time(simtime.FromStd(r.Arrival)),
-		Class:        r.Class,
-		PrefixLen:    r.PrefixLen,
-		PrefixKey:    r.PrefixKey,
-		Session:      r.Session,
-		Turn:         r.Turn,
-		SessionTurns: r.SessionTurns,
-	}, true
+	return internalRequest(r, 0), true
 }
 
 func (a streamAdapter) Err() error {
