@@ -995,27 +995,7 @@ func wrapClusterReport(rep *cluster.Report) *ClusterReport {
 		})
 	}
 	for _, p := range rep.PerReplica {
-		out.PerReplica = append(out.PerReplica, ReplicaStats{
-			Index:          p.Index,
-			Backend:        p.Backend,
-			Role:           p.Role,
-			State:          p.State,
-			Requests:       p.Requests,
-			Iterations:     p.Iterations,
-			SimEndSec:      p.SimEnd.Seconds(),
-			PromptTPS:      p.PromptTPS,
-			GenTPS:         p.GenTPS,
-			Evictions:      p.Evictions,
-			Reloads:        p.Reloads,
-			ReplicaSeconds: p.ReplicaSeconds,
-			CostWeight:     p.CostWeight,
-
-			PrefixHitRate:     p.PrefixHitRate(),
-			PrefixTokensSaved: p.PrefixTokensSaved,
-			PrefixSpillBytes:  p.PrefixSpillBytes,
-			PrefixReloadBytes: p.PrefixReloadBytes,
-			PrefixLinkSeconds: p.PrefixLinkSeconds,
-		})
+		out.PerReplica = append(out.PerReplica, ReplicaStats(p))
 	}
 	for _, p := range rep.FleetTimeline {
 		out.FleetTimeline = append(out.FleetTimeline, FleetPoint{

@@ -25,20 +25,6 @@ type NodeTiming struct {
 type Result struct {
 	Makespan simtime.Duration
 	Timings  []NodeTiming // indexed by node ID
-
-	// BusyTime per resource, for utilisation reporting.
-	Busy map[graph.Resource]simtime.Duration
-	// ComputeTime and CommTime aggregate node durations by class.
-	ComputeTime simtime.Duration
-	CommTime    simtime.Duration
-}
-
-// Utilization returns the busy fraction of a resource over the makespan.
-func (r Result) Utilization(res graph.Resource) float64 {
-	if r.Makespan == 0 {
-		return 0
-	}
-	return float64(r.Busy[res]) / float64(r.Makespan)
 }
 
 type candidate struct {
@@ -101,15 +87,12 @@ func (h *candidateHeap) pop() candidate {
 // Executor runs graphs while reusing all scheduling scratch state
 // (successor arrays, resource timelines, the ready heap, the timings
 // buffer) across calls. One graph executes per simulated iteration, so
-// this reuse removes the executor from the allocation profile almost
-// entirely; only the returned Result's Busy map is freshly allocated,
-// while Result.Timings aliases executor-owned storage valid until the
-// next Execute call. An Executor is not safe for concurrent use; each
-// simulator owns one.
+// once the buffers have grown to the largest graph seen, Execute
+// allocates nothing; Result.Timings aliases executor-owned storage valid
+// until the next Execute call. An Executor is not safe for concurrent
+// use; each simulator owns one.
 type Executor struct {
 	resFree []simtime.Time
-	resBusy []simtime.Duration
-	resSeen []bool
 
 	indeg   []int
 	succOff []int
@@ -134,10 +117,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if cap(e.timings) < n {
 		e.timings = make([]NodeTiming, n)
 	}
-	res := Result{
-		Timings: e.timings[:n],
-		Busy:    make(map[graph.Resource]simtime.Duration),
-	}
+	res := Result{Timings: e.timings[:n]}
 	clear(res.Timings)
 	if n == 0 {
 		return res, nil
@@ -156,8 +136,6 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	ridx := func(r graph.Resource) int { return int(r.Class)*stride + r.Device }
 	nRes := 3 * stride
 	resFree := growZero(&e.resFree, nRes)
-	resBusy := growZero(&e.resBusy, nRes)
-	resSeen := growZero(&e.resSeen, nRes)
 
 	// Successor lists in one flat array: count, prefix-sum, fill.
 	indeg := growZero(&e.indeg, n)
@@ -225,15 +203,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 		done[c.node] = true
 		scheduled++
 		for _, r := range node.Resources {
-			i := ridx(r)
-			resFree[i] = end
-			resBusy[i] += node.Duration
-			resSeen[i] = true
-		}
-		if node.Kind == graph.Compute {
-			res.ComputeTime += node.Duration
-		} else {
-			res.CommTime += node.Duration
+			resFree[ridx(r)] = end
 		}
 		if d := end.Sub(0); d > res.Makespan {
 			res.Makespan = d
@@ -251,19 +221,7 @@ func (e *Executor) Execute(g *graph.Graph) (Result, error) {
 	if scheduled != n {
 		return Result{}, fmt.Errorf("astra: deadlock, scheduled %d of %d nodes (cycle in graph?)", scheduled, n)
 	}
-	for i, seen := range resSeen {
-		if seen {
-			res.Busy[graph.Resource{Class: graph.ResourceClass(i / stride), Device: i % stride}] = resBusy[i]
-		}
-	}
 	return res, nil
-}
-
-// Execute runs the graph on a throwaway Executor. Hot loops should hold
-// an Executor and call its method instead.
-func Execute(g *graph.Graph) (Result, error) {
-	var e Executor
-	return e.Execute(g)
 }
 
 // growZero returns (*buf)[:n] zeroed, growing the backing array as

@@ -12,7 +12,7 @@ import (
 const us = simtime.Microsecond
 
 func TestEmptyGraph(t *testing.T) {
-	r, err := Execute(graph.New())
+	r, err := new(Executor).Execute(graph.New())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestChainSums(t *testing.T) {
 	a := g.AddCompute("a", 0, 10*us)
 	b := g.AddCompute("b", 0, 20*us, a)
 	g.AddCompute("c", 0, 30*us, b)
-	r, err := Execute(g)
+	r, err := new(Executor).Execute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestIndependentDevicesOverlap(t *testing.T) {
 	for dev := 0; dev < 4; dev++ {
 		g.AddCompute("w", dev, 100*us)
 	}
-	r, _ := Execute(g)
+	r, _ := new(Executor).Execute(g)
 	if r.Makespan != 100*us {
 		t.Fatalf("parallel makespan %v", r.Makespan)
 	}
@@ -56,7 +56,7 @@ func TestSameDeviceSerializes(t *testing.T) {
 	g := graph.New()
 	g.AddCompute("a", 0, 100*us)
 	g.AddCompute("b", 0, 100*us)
-	r, _ := Execute(g)
+	r, _ := new(Executor).Execute(g)
 	if r.Makespan != 200*us {
 		t.Fatalf("serialized makespan %v", r.Makespan)
 	}
@@ -69,7 +69,7 @@ func TestCommOverlapsCompute(t *testing.T) {
 	g := graph.New()
 	g.AddCompute("compute", 0, 100*us)
 	g.AddP2P("xfer", 0, 1, 100*us, 1<<20)
-	r, _ := Execute(g)
+	r, _ := new(Executor).Execute(g)
 	if r.Makespan != 100*us {
 		t.Fatalf("comm should overlap compute: %v", r.Makespan)
 	}
@@ -81,7 +81,7 @@ func TestCollectiveOccupiesAllPorts(t *testing.T) {
 	g := graph.New()
 	g.AddAllReduce("ar", []int{0, 1, 2, 3}, 50*us, 1<<20)
 	g.AddP2P("xfer", 0, 1, 50*us, 1<<10)
-	r, _ := Execute(g)
+	r, _ := new(Executor).Execute(g)
 	// The p2p shares ports 0,1 with the collective: must serialise.
 	if r.Makespan != 100*us {
 		t.Fatalf("port contention broken: %v", r.Makespan)
@@ -93,7 +93,7 @@ func TestDependencyAcrossDevices(t *testing.T) {
 	a := g.AddCompute("s0", 0, 30*us)
 	x := g.AddP2P("xfer", 0, 1, 10*us, 1<<10, a)
 	g.AddCompute("s1", 1, 30*us, x)
-	r, _ := Execute(g)
+	r, _ := new(Executor).Execute(g)
 	if r.Makespan != 70*us {
 		t.Fatalf("pipeline chain %v", r.Makespan)
 	}
@@ -107,36 +107,19 @@ func TestPipelining(t *testing.T) {
 	b1 := g.AddCompute("b1", 1, 50*us, a1)
 	a2 := g.AddCompute("a2", 0, 50*us, a1)
 	g.AddCompute("b2", 1, 50*us, b1, a2)
-	r, _ := Execute(g)
+	r, _ := new(Executor).Execute(g)
 	if r.Makespan != 150*us {
 		t.Fatalf("pipelined makespan %v, want 150us", r.Makespan)
 	}
 }
 
-func TestBusyAccounting(t *testing.T) {
-	g := graph.New()
-	g.AddCompute("a", 0, 10*us)
-	g.AddCompute("b", 0, 20*us)
-	r, _ := Execute(g)
-	res := graph.Resource{Class: graph.ResCompute, Device: 0}
-	if r.Busy[res] != 30*us {
-		t.Fatalf("busy %v", r.Busy[res])
-	}
-	if u := r.Utilization(res); u != 1.0 {
-		t.Fatalf("utilization %v", u)
-	}
-	if r.ComputeTime != 30*us || r.CommTime != 0 {
-		t.Fatal("class accounting")
-	}
-}
-
 func TestDeterminism(t *testing.T) {
 	g := buildRandomDAG(rand.New(rand.NewSource(5)), 50)
-	r1, err := Execute(g)
+	r1, err := new(Executor).Execute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	r2, _ := Execute(g)
+	r2, _ := new(Executor).Execute(g)
 	if r1.Makespan != r2.Makespan {
 		t.Fatal("nondeterministic makespan")
 	}
@@ -150,7 +133,7 @@ func TestDeterminism(t *testing.T) {
 func TestInvalidGraphRejected(t *testing.T) {
 	g := graph.New()
 	g.Nodes = append(g.Nodes, &graph.Node{ID: 0, Kind: graph.Compute, Duration: 1})
-	if _, err := Execute(g); err == nil {
+	if _, err := new(Executor).Execute(g); err == nil {
 		t.Fatal("invalid graph must be rejected")
 	}
 }
@@ -160,7 +143,7 @@ func TestCriticalPath(t *testing.T) {
 	a := g.AddCompute("a", 0, 10*us)
 	b := g.AddCompute("b", 1, 100*us)
 	c := g.AddCompute("c", 0, 10*us, a, b)
-	r, _ := Execute(g)
+	r, _ := new(Executor).Execute(g)
 	path := CriticalPath(g, r)
 	if len(path) != 2 || path[0] != b || path[1] != c {
 		t.Fatalf("critical path %v", path)
@@ -196,7 +179,7 @@ func TestMakespanBoundsProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(77))
 	f := func() bool {
 		g := buildRandomDAG(rng, 1+rng.Intn(60))
-		r, err := Execute(g)
+		r, err := new(Executor).Execute(g)
 		if err != nil {
 			return false
 		}

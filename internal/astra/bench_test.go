@@ -43,7 +43,7 @@ func BenchmarkExecute(b *testing.B) {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := Execute(g); err != nil {
+				if _, err := new(Executor).Execute(g); err != nil {
 					b.Fatal(err)
 				}
 			}

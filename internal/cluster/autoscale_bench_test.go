@@ -51,8 +51,8 @@ func BenchmarkAutoscaleRamp(b *testing.B) {
 		if rep.Admitted+rep.Rejected != n {
 			b.Fatalf("counts %d+%d of %d", rep.Admitted, rep.Rejected, n)
 		}
-		if rep.PeakReplicas() <= 2 {
-			b.Fatalf("fleet never scaled: peak %d", rep.PeakReplicas())
+		if peak := peakReplicas(rep); peak <= 2 {
+			b.Fatalf("fleet never scaled: peak %d", peak)
 		}
 	}
 }

@@ -132,7 +132,7 @@ func TestAutoscaleGrowsAndClamps(t *testing.T) {
 	if rep.Scaler != ScaleQueueDepth {
 		t.Fatalf("report scaler %q", rep.Scaler)
 	}
-	peak := rep.PeakReplicas()
+	peak := peakReplicas(rep)
 	if peak != 3 {
 		t.Fatalf("queue target 1 under burst load must peak at the max (3), got %d\ntimeline %+v", peak, rep.FleetTimeline)
 	}
@@ -333,4 +333,13 @@ func TestAutoscaledDeterministic(t *testing.T) {
 	if a != b {
 		t.Fatalf("same seed and events produced different reports:\n%s\nvs\n%s", a, b)
 	}
+}
+
+// peakReplicas returns the largest committed fleet size over the run.
+func peakReplicas(rep *Report) int {
+	peak := 0
+	for _, p := range rep.FleetTimeline {
+		peak = max(peak, p.Committed())
+	}
+	return peak
 }

@@ -11,7 +11,9 @@ import (
 	"repro/internal/simtime"
 )
 
-// ReplicaSummary is one fleet slot's contribution to a cluster run.
+// ReplicaSummary is one fleet slot's contribution to a cluster run. Its
+// field sequence is the public ReplicaStats's, which converts from it
+// directly.
 type ReplicaSummary struct {
 	Index      int
 	Backend    string // performance model pricing this replica
@@ -19,15 +21,16 @@ type ReplicaSummary struct {
 	State      string // lifecycle at end of run (active, retired, failed, ...)
 	Requests   int    // requests routed to this replica
 	Iterations int
-	SimEnd     simtime.Time
+	SimEndSec  float64 // this replica's latest completion
 	PromptTPS  float64 // over this replica's own active span
 	GenTPS     float64
 	Evictions  int64
 	Reloads    int64
 
 	// Shared-prefix cache counters (zero unless prefix caching is on).
-	PrefixLookups     int64
-	PrefixHits        int64
+	// PrefixHitRate is the fraction of prefix-cache probes that reused
+	// at least one cached block.
+	PrefixHitRate     float64
 	PrefixTokensSaved int64 // prefill tokens skipped via cache hits
 	PrefixSpillBytes  int64 // prefix blocks spilled device -> host
 	PrefixReloadBytes int64 // prefix blocks restored host -> device
@@ -40,15 +43,6 @@ type ReplicaSummary struct {
 	// CostWeight is its hardware-relative cost factor.
 	ReplicaSeconds float64
 	CostWeight     float64
-}
-
-// PrefixHitRate returns the fraction of prefix-cache probes that reused
-// at least one cached block.
-func (p ReplicaSummary) PrefixHitRate() float64 {
-	if p.PrefixLookups == 0 {
-		return 0
-	}
-	return float64(p.PrefixHits) / float64(p.PrefixLookups)
 }
 
 // PoolStats is one serving pool's rollup in a disaggregated cluster.
@@ -172,6 +166,7 @@ func (c *Cluster) report() *Report {
 	perReplica := make([]ReplicaSummary, len(c.replicas))
 	for i, rep := range c.replicas {
 		srep := rep.sim.Report()
+		kv := srep.KV
 		perReplica[i] = ReplicaSummary{
 			Index:      i,
 			Backend:    srep.Backend,
@@ -179,27 +174,26 @@ func (c *Cluster) report() *Report {
 			State:      rep.state.String(),
 			Requests:   requests[i],
 			Iterations: srep.Iterations,
-			SimEnd:     srep.SimEnd,
+			SimEndSec:  srep.SimEnd.Seconds(),
 			PromptTPS:  srep.PromptTPS,
 			GenTPS:     srep.GenTPS,
-			Evictions:  srep.KV.Evictions,
-			Reloads:    srep.KV.Reloads,
+			Evictions:  kv.Evictions,
+			Reloads:    kv.Reloads,
 			CostWeight: rep.cost,
 
-			PrefixLookups:     srep.KV.PrefixLookups,
-			PrefixHits:        srep.KV.PrefixHits,
-			PrefixTokensSaved: srep.KV.PrefixTokensSaved,
-			PrefixSpillBytes:  srep.KV.PrefixSpillBytes,
-			PrefixReloadBytes: srep.KV.PrefixReloadBytes,
+			PrefixHitRate:     hitRate(kv.PrefixHits, kv.PrefixLookups),
+			PrefixTokensSaved: kv.PrefixTokensSaved,
+			PrefixSpillBytes:  kv.PrefixSpillBytes,
+			PrefixReloadBytes: kv.PrefixReloadBytes,
 			PrefixLinkSeconds: hostLinkSeconds(srep.Topo,
-				srep.KV.PrefixSpills+srep.KV.PrefixReloads,
-				srep.KV.PrefixSpillBytes+srep.KV.PrefixReloadBytes),
+				kv.PrefixSpills+kv.PrefixReloads,
+				kv.PrefixSpillBytes+kv.PrefixReloadBytes),
 		}
-		r.PrefixLookups += perReplica[i].PrefixLookups
-		r.PrefixHits += perReplica[i].PrefixHits
-		r.PrefixTokensSaved += perReplica[i].PrefixTokensSaved
-		r.PrefixSpillBytes += perReplica[i].PrefixSpillBytes
-		r.PrefixReloadBytes += perReplica[i].PrefixReloadBytes
+		r.PrefixLookups += kv.PrefixLookups
+		r.PrefixHits += kv.PrefixHits
+		r.PrefixTokensSaved += kv.PrefixTokensSaved
+		r.PrefixSpillBytes += kv.PrefixSpillBytes
+		r.PrefixReloadBytes += kv.PrefixReloadBytes
 		r.PrefixLinkSeconds += perReplica[i].PrefixLinkSeconds
 		if srep.SimEnd.After(r.SimEnd) {
 			r.SimEnd = srep.SimEnd
@@ -339,41 +333,14 @@ func hostLinkSeconds(topo network.Topology, ops, bytes int64) float64 {
 
 // PrefixHitRate returns the fleet-wide fraction of prefix-cache probes
 // that reused at least one cached block.
-func (r *Report) PrefixHitRate() float64 {
-	if r.PrefixLookups == 0 {
+func (r *Report) PrefixHitRate() float64 { return hitRate(r.PrefixHits, r.PrefixLookups) }
+
+// hitRate is hits/lookups, or 0 before the first lookup.
+func hitRate(hits, lookups int64) float64 {
+	if lookups == 0 {
 		return 0
 	}
-	return float64(r.PrefixHits) / float64(r.PrefixLookups)
-}
-
-// TotalIterations sums scheduler iterations across replicas.
-func (r *Report) TotalIterations() int {
-	n := 0
-	for _, p := range r.PerReplica {
-		n += p.Iterations
-	}
-	return n
-}
-
-// PeakReplicas returns the largest committed fleet size over the run.
-func (r *Report) PeakReplicas() int {
-	peak := 0
-	for _, p := range r.FleetTimeline {
-		if c := p.Committed(); c > peak {
-			peak = c
-		}
-	}
-	return peak
-}
-
-// Class returns the named class's summary, or nil if absent.
-func (r *Report) Class(name string) *metrics.ClassSummary {
-	for i := range r.Classes {
-		if r.Classes[i].Class == name {
-			return &r.Classes[i]
-		}
-	}
-	return nil
+	return float64(hits) / float64(lookups)
 }
 
 // WriteClassTSV writes the per-class summary table.
@@ -402,9 +369,9 @@ func (r *Report) WriteReplicaTSV(w io.Writer) error {
 	}
 	for _, p := range r.PerReplica {
 		if _, err := fmt.Fprintf(bw, "%d\t%s\t%s\t%s\t%d\t%d\t%.3f\t%.1f\t%.1f\t%d\t%d\t%.3f\t%.2f\t%.3f\t%d\t%d\t%d\t%.6f\n",
-			p.Index, p.Backend, p.Role, p.State, p.Requests, p.Iterations, p.SimEnd.Seconds(),
+			p.Index, p.Backend, p.Role, p.State, p.Requests, p.Iterations, p.SimEndSec,
 			p.PromptTPS, p.GenTPS, p.Evictions, p.Reloads, p.ReplicaSeconds, p.CostWeight,
-			p.PrefixHitRate(), p.PrefixTokensSaved, p.PrefixSpillBytes, p.PrefixReloadBytes,
+			p.PrefixHitRate, p.PrefixTokensSaved, p.PrefixSpillBytes, p.PrefixReloadBytes,
 			p.PrefixLinkSeconds); err != nil {
 			return err
 		}

@@ -6,6 +6,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -184,23 +185,23 @@ func DefaultLink() LinkConfig {
 	return LinkConfig{BandwidthBytes: 64e9, LatencyNs: 100}
 }
 
-// LoadJSON reads any of the config types from a JSON file.
+// LoadJSON reads any of the config types from a JSON file holding one
+// object. A key the type does not declare (a misspelt field would
+// otherwise leave its default silently in place) and data after the
+// object are errors.
 func LoadJSON(path string, v interface{}) error {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return fmt.Errorf("config: %w", err)
 	}
-	if err := json.Unmarshal(data, v); err != nil {
+	defer f.Close()
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("config: parsing %s: %w", path, err)
 	}
-	return nil
-}
-
-// SaveJSON writes any of the config types to a JSON file.
-func SaveJSON(path string, v interface{}) error {
-	data, err := json.MarshalIndent(v, "", "  ")
-	if err != nil {
-		return fmt.Errorf("config: %w", err)
+	if _, err := dec.Token(); err != io.EOF {
+		return fmt.Errorf("config: parsing %s: unexpected data after the JSON object", path)
 	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
+	return nil
 }

@@ -1,8 +1,10 @@
 package config
 
 import (
+	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -105,7 +107,11 @@ func TestJSONRoundTrip(t *testing.T) {
 	want := DefaultNPU()
 	want.Name = "custom"
 	want.SRAMBytes = 32 << 20
-	if err := SaveJSON(path, want); err != nil {
+	data, err := json.MarshalIndent(want, "", "  ")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	var got NPUConfig
@@ -129,5 +135,28 @@ func TestLoadJSONErrors(t *testing.T) {
 	}
 	if err := LoadJSON(bad, &cfg); err == nil {
 		t.Fatal("malformed json must fail")
+	}
+
+	for _, c := range []struct{ name, body, want string }{
+		{"unknown key", `{"name": "x", "sram_mb": 32}`, `unknown field "sram_mb"`},
+		{"trailing data", `{"name": "x"} {"name": "y"}`, "after the JSON object"},
+		{"trailing garbage", `{"name": "x"} nope`, "after the JSON object"},
+	} {
+		path := filepath.Join(dir, "case.json")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		err := LoadJSON(path, &cfg)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v, want an error containing %q", c.name, err, c.want)
+		}
+	}
+	path := filepath.Join(dir, "ok.json")
+	if err := os.WriteFile(path, []byte("{\"sram_bytes\": 1024}\n\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cfg = NPUConfig{}
+	if err := LoadJSON(path, &cfg); err != nil || cfg.SRAMBytes != 1024 {
+		t.Fatalf("trailing whitespace must load: %+v, %v", cfg, err)
 	}
 }

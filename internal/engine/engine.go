@@ -196,9 +196,6 @@ func NewStack(eng Engine, reuse bool, cache *Cache) *Stack {
 // Engine returns the wrapped engine.
 func (s *Stack) Engine() Engine { return s.eng }
 
-// ReuseEnabled reports whether result reuse is on.
-func (s *Stack) ReuseEnabled() bool { return s.reuse }
-
 // Cache returns the result cache the stack reads and fills.
 func (s *Stack) Cache() *Cache { return s.cache }
 

@@ -53,7 +53,7 @@ type MemOp struct {
 
 // BlockWork carries one transformer block's simulated durations for a
 // single tensor-parallel worker, as produced by the execution engine stack
-// and split by trace.SplitSegments.
+// and split by trace.SplitSegmentsInto.
 type BlockWork struct {
 	Pre  simtime.Duration         // LayerNorm1 + QKV projection
 	Post simtime.Duration         // Proj through final residual

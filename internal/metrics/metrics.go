@@ -146,14 +146,6 @@ func (c ComponentTimes) Total() time.Duration {
 	return c.Scheduler + c.ExecutionEngine + c.GraphConverter + c.AstraSim
 }
 
-// Add accumulates another breakdown.
-func (c *ComponentTimes) Add(o ComponentTimes) {
-	c.Scheduler += o.Scheduler
-	c.ExecutionEngine += o.ExecutionEngine
-	c.GraphConverter += o.GraphConverter
-	c.AstraSim += o.AstraSim
-}
-
 // WriteSimulationTimeTSV writes the artifact's *-simulation-time.tsv
 // format (per-component milliseconds).
 func WriteSimulationTimeTSV(w io.Writer, c ComponentTimes) error {

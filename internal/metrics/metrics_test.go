@@ -124,12 +124,6 @@ func TestComponentTimes(t *testing.T) {
 	if c.Total() != 10*time.Second {
 		t.Fatal("total")
 	}
-	var sum ComponentTimes
-	sum.Add(c)
-	sum.Add(c)
-	if sum.Total() != 20*time.Second {
-		t.Fatal("add")
-	}
 	var buf bytes.Buffer
 	if err := WriteSimulationTimeTSV(&buf, c); err != nil {
 		t.Fatal(err)

@@ -140,15 +140,6 @@ type ClassSummary struct {
 	ThroughputTPS float64
 }
 
-// AttainedFrac returns the fraction of arrivals that completed within
-// SLO (rejections count against attainment).
-func (c ClassSummary) AttainedFrac() float64 {
-	if c.Requests == 0 {
-		return 0
-	}
-	return float64(c.SLOAttained) / float64(c.Requests)
-}
-
 // SummarizeRequests rolls records up into per-class summaries, ordered
 // by class name. slos maps class name to its objective (missing classes
 // get the zero SLO, i.e. no objective); end is the simulated span the

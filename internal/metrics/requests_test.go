@@ -83,9 +83,6 @@ func TestSummarizeRequests(t *testing.T) {
 	if chat.GoodputTPS != 1.1 || chat.ThroughputTPS != 3.2 {
 		t.Fatalf("chat goodput %v throughput %v", chat.GoodputTPS, chat.ThroughputTPS)
 	}
-	if f := chat.AttainedFrac(); f != 1.0/3 {
-		t.Fatalf("attained frac %v", f)
-	}
 	api := sums[0]
 	if api.SLOAttained != 1 || api.GoodputTPS != 0.1 {
 		t.Fatalf("api (no SLO) must fully attain: %+v", api)

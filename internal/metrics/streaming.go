@@ -150,15 +150,6 @@ func (a *RequestAccumulator) Rejected() int {
 	return n
 }
 
-// Completed returns total completed requests.
-func (a *RequestAccumulator) Completed() int {
-	n := 0
-	for _, c := range a.classes {
-		n += c.completed
-	}
-	return n
-}
-
 // PromptTokens returns the summed input lengths of completed requests.
 func (a *RequestAccumulator) PromptTokens() int64 { return a.promptTokens }
 

@@ -2,7 +2,6 @@ package model
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 )
 
@@ -254,75 +253,6 @@ func batchPhase(batch []Seq) Phase {
 		}
 	}
 	return Generation
-}
-
-// AllOps returns the full model's operators with the block replicated
-// Layers times, e.g. for a no-reuse baseline that simulates every layer.
-func (it *IterationOps) AllOps() []Op {
-	ops := make([]Op, 0, 2+len(it.Block)*it.Layers)
-	ops = append(ops, it.Embed)
-	for l := 0; l < it.Layers; l++ {
-		for _, op := range it.Block {
-			op.Name = fmt.Sprintf("layer%d.%s", l, op.Name)
-			ops = append(ops, op)
-		}
-	}
-	ops = append(ops, it.Head)
-	return ops
-}
-
-// BlockFLOPs returns the FLOPs of one transformer block.
-func (it *IterationOps) BlockFLOPs() int64 {
-	var total int64
-	for _, op := range it.Block {
-		total += op.FLOPs()
-	}
-	return total
-}
-
-// TotalFLOPs returns the FLOPs of the full iteration (all layers + embed +
-// head) on one tensor-parallel worker.
-func (it *IterationOps) TotalFLOPs() int64 {
-	return it.Embed.FLOPs() + int64(it.Layers)*it.BlockFLOPs() + it.Head.FLOPs()
-}
-
-// AttentionOps returns the indices of attention-core operators within
-// Block, the ops that change shape every iteration and that heterogeneous
-// mappings route to PIM.
-func (it *IterationOps) AttentionOps() []int {
-	var idx []int
-	for i, op := range it.Block {
-		if op.Kind.IsAttention() {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// NonAttentionOps returns the complementary indices of AttentionOps.
-func (it *IterationOps) NonAttentionOps() []int {
-	var idx []int
-	for i, op := range it.Block {
-		if !op.Kind.IsAttention() {
-			idx = append(idx, i)
-		}
-	}
-	return idx
-}
-
-// ContextLengths returns the sorted distinct context lengths in the batch,
-// the shape dimension the attention-reuse cache is keyed by.
-func (it *IterationOps) ContextLengths() []int {
-	seen := map[int]bool{}
-	for _, s := range it.Seqs {
-		seen[s.TotalLen()] = true
-	}
-	out := make([]int, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // reqOpName builds "<prefix><id>" without fmt.

@@ -127,24 +127,16 @@ func TestBuildIterationErrors(t *testing.T) {
 	}
 }
 
-func TestAllOps(t *testing.T) {
-	cfg := MustLookup("gpt2") // 12 layers
-	it, _ := BuildIteration(cfg, initBatch(2, 16), 1)
-	all := it.AllOps()
-	if want := 2 + 12*len(it.Block); len(all) != want {
-		t.Fatalf("AllOps = %d, want %d", len(all), want)
-	}
-	if !strings.HasPrefix(all[1].Name, "layer0.") || !strings.HasPrefix(all[len(all)-2].Name, "layer11.") {
-		t.Fatal("layer naming wrong")
-	}
-}
-
 // TestTotalFLOPs checks the classic ~2*params FLOPs-per-token rule for a
-// single-token forward pass.
+// single-token forward pass: embedding, every layer's block, and head.
 func TestTotalFLOPs(t *testing.T) {
 	cfg := MustLookup("gpt3-7b")
 	it, _ := BuildIteration(cfg, genBatch(1, 1), 1)
-	flops := float64(it.TotalFLOPs())
+	var block int64
+	for _, op := range it.Block {
+		block += op.FLOPs()
+	}
+	flops := float64(it.Embed.FLOPs() + int64(it.Layers)*block + it.Head.FLOPs())
 	want := 2 * float64(cfg.Params())
 	ratio := flops / want
 	if ratio < 0.8 || ratio > 1.3 {
@@ -152,34 +144,25 @@ func TestTotalFLOPs(t *testing.T) {
 	}
 }
 
+// TestAttentionPartition: the block holds three attention-core ops per
+// request, and the attention/non-attention split partitions it into
+// per-request and batched ops.
 func TestAttentionPartition(t *testing.T) {
 	cfg := MustLookup("gpt2")
 	it, _ := BuildIteration(cfg, genBatch(3, 32), 1)
-	attn, non := it.AttentionOps(), it.NonAttentionOps()
-	if len(attn) != 9 { // 3 ops x 3 requests
-		t.Fatalf("attention ops = %d", len(attn))
-	}
-	if len(attn)+len(non) != len(it.Block) {
-		t.Fatal("partition must cover the block")
-	}
-	for _, i := range attn {
-		if !it.Block[i].Kind.IsAttention() {
-			t.Fatal("misclassified attention op")
+	attn := 0
+	for _, op := range it.Block {
+		if op.Kind.IsAttention() {
+			attn++
+			if op.Batched || op.ReqID < 0 {
+				t.Fatalf("attention op %s is not per-request", op.Name)
+			}
+		} else if !op.Batched || op.ReqID != -1 {
+			t.Fatalf("non-attention op %s is not batched", op.Name)
 		}
 	}
-}
-
-func TestContextLengths(t *testing.T) {
-	cfg := MustLookup("gpt2")
-	batch := []Seq{
-		{ReqID: 0, NewTokens: 1, Context: 10, Phase: Generation},
-		{ReqID: 1, NewTokens: 1, Context: 10, Phase: Generation},
-		{ReqID: 2, NewTokens: 1, Context: 20, Phase: Generation},
-	}
-	it, _ := BuildIteration(cfg, batch, 1)
-	got := it.ContextLengths()
-	if len(got) != 2 || got[0] != 11 || got[1] != 21 {
-		t.Fatalf("ContextLengths = %v", got)
+	if attn != 9 { // 3 ops x 3 requests
+		t.Fatalf("attention ops = %d", attn)
 	}
 }
 

@@ -111,9 +111,6 @@ func (t Topology) PIMNodes() []int {
 	return ids
 }
 
-// StageOf returns the pipeline stage owning the given NPU node.
-func (t Topology) StageOf(node int) int { return node / t.TP }
-
 // Validate checks internal consistency.
 func (t Topology) Validate() error {
 	if t.Stages <= 0 || t.TP <= 0 {

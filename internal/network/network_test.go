@@ -66,9 +66,6 @@ func TestNodeLayout(t *testing.T) {
 	if len(s1) != 4 || s1[0] != 4 || s1[3] != 7 {
 		t.Fatalf("stage 1 nodes %v", s1)
 	}
-	if topo.StageOf(5) != 1 || topo.StageOf(3) != 0 {
-		t.Fatal("StageOf")
-	}
 	topo.PIMPool = 3
 	if topo.Nodes() != 11 {
 		t.Fatal("pim pool nodes")

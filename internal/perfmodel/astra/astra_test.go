@@ -70,7 +70,7 @@ func TestCriticalPathCoversIteration(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := astrasim.Execute(g)
+	res, err := new(astrasim.Executor).Execute(g)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,6 +81,41 @@ func TestCriticalPathCoversIteration(t *testing.T) {
 	}
 	if pathDur != res.Makespan {
 		t.Fatalf("critical path %v != makespan %v on serial device", pathDur, res.Makespan)
+	}
+}
+
+// TestExecutorReuseAllocatesNothing: once an Executor has run an
+// iteration's graph, running it again reuses every scratch buffer, so
+// the per-iteration system simulation allocates nothing.
+func TestExecutorReuseAllocatesNothing(t *testing.T) {
+	cfg := testConfig(t, 2)
+	b, err := New(cfg, Options{NPU: config.DefaultNPU()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	batch := firstBatch(t, cfg, []workload.Request{
+		{ID: 0, InputLen: 32, OutputLen: 1},
+		{ID: 1, InputLen: 48, OutputLen: 1},
+	})
+	work, embedDur, headDur, totalNew, err := b.runEngines(batch)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := b.convert(batch, work, embedDur, headDur, totalNew)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var e astrasim.Executor
+	if _, err := e.Execute(g); err != nil {
+		t.Fatal(err)
+	}
+	allocs := testing.AllocsPerRun(10, func() {
+		if _, err := e.Execute(g); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("reused Executor.Execute allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -119,25 +119,9 @@ func Max(a, b Duration) Duration {
 	return b
 }
 
-// Min returns the smaller of two durations.
-func Min(a, b Duration) Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // Later returns the later of two instants.
 func Later(a, b Time) Time {
 	if a > b {
-		return a
-	}
-	return b
-}
-
-// Earlier returns the earlier of two instants.
-func Earlier(a, b Time) Time {
-	if a < b {
 		return a
 	}
 	return b

@@ -69,11 +69,11 @@ func TestTransfer(t *testing.T) {
 }
 
 func TestMinMaxLaterEarlier(t *testing.T) {
-	if Max(1, 2) != 2 || Min(1, 2) != 1 {
-		t.Fatal("Max/Min")
+	if Max(1, 2) != 2 || Max(2, 1) != 2 {
+		t.Fatal("Max")
 	}
-	if Later(Time(1), Time(2)) != 2 || Earlier(Time(1), Time(2)) != 1 {
-		t.Fatal("Later/Earlier")
+	if Later(Time(1), Time(2)) != 2 || Later(Time(2), Time(1)) != 2 {
+		t.Fatal("Later")
 	}
 }
 

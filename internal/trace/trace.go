@@ -184,20 +184,11 @@ type Segments struct {
 	Post simtime.Duration         // Proj, Residual, LayerNorm2, FFN1, FFN2, Residual
 }
 
-// SplitSegments computes Segments from a block's trace items.
-func SplitSegments(items []Item) Segments {
-	return SplitSegmentsInto(items, nil)
-}
-
-// SplitSegmentsInto computes Segments reusing attn (cleared first) as
-// the per-request attention map when non-nil — the per-iteration path
-// that avoids re-allocating the map every batch.
+// SplitSegmentsInto computes Segments from a block's trace items,
+// reusing the non-nil attn (cleared first) as the per-request attention
+// map so the per-iteration path does not re-allocate it every batch.
 func SplitSegmentsInto(items []Item, attn map[int]simtime.Duration) Segments {
-	if attn == nil {
-		attn = map[int]simtime.Duration{}
-	} else {
-		clear(attn)
-	}
+	clear(attn)
 	seg := Segments{Attn: attn}
 	seenAttention := false
 	for _, it := range items {
@@ -212,13 +203,4 @@ func SplitSegmentsInto(items []Item, attn map[int]simtime.Duration) Segments {
 		}
 	}
 	return seg
-}
-
-// AttnTotal returns the summed attention time across requests.
-func (s Segments) AttnTotal() simtime.Duration {
-	var t simtime.Duration
-	for _, d := range s.Attn {
-		t += d
-	}
-	return t
 }

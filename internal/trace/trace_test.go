@@ -138,18 +138,15 @@ func TestSplitSegments(t *testing.T) {
 		item(engine.NPU, 0, 8, 20, model.OpProj, -1),
 		item(engine.NPU, 0, 9, 30, model.OpFFN1, -1),
 	}
-	seg := SplitSegments(items)
+	seg := SplitSegmentsInto(items, map[int]simtime.Duration{0: 99, 7: 1})
 	if seg.Pre != 15 {
 		t.Fatalf("pre %v", seg.Pre)
 	}
-	if seg.Attn[0] != 8 || seg.Attn[1] != 6 {
-		t.Fatalf("attn %v", seg.Attn)
+	if len(seg.Attn) != 2 || seg.Attn[0] != 8 || seg.Attn[1] != 6 {
+		t.Fatalf("attn %v (the reused map must be cleared first)", seg.Attn)
 	}
 	if seg.Post != 50 {
 		t.Fatalf("post %v", seg.Post)
-	}
-	if seg.AttnTotal() != 14 {
-		t.Fatalf("attn total %v", seg.AttnTotal())
 	}
 }
 

@@ -152,72 +152,6 @@ func TestMultiClassStreamOverflow(t *testing.T) {
 	}
 }
 
-// TestMergeDeterministic pins the k-way merge: output is in arrival
-// order with sequential IDs, identical across repeated constructions,
-// and identical to sort-merging the materialized per-class traces.
-func TestMergeDeterministic(t *testing.T) {
-	build := func() Stream {
-		var streams []Stream
-		for i, c := range streamTestClasses() {
-			cs, err := NewClassStream(c, 100, int64(1000+i))
-			if err != nil {
-				t.Fatal(err)
-			}
-			streams = append(streams, cs)
-		}
-		return Merge(streams...)
-	}
-
-	first, err := Collect(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(first) != 300 {
-		t.Fatalf("merged %d requests, want 300", len(first))
-	}
-	if n, ok := StreamTarget(build()); !ok || n != 300 {
-		t.Fatalf("merged StreamTarget = %d, %v; want 300, true", n, ok)
-	}
-	if !IsSortedByArrival(first) {
-		t.Fatal("merged stream not in arrival order")
-	}
-	for i, r := range first {
-		if r.ID != i {
-			t.Fatalf("request %d has ID %d; want sequential renumbering", i, r.ID)
-		}
-	}
-
-	second, err := Collect(build())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(first, second) {
-		t.Fatal("merge is not deterministic across constructions")
-	}
-
-	// The merge must agree with materializing every class and sorting.
-	var all []Request
-	for i, c := range streamTestClasses() {
-		cs, err := NewClassStream(c, 100, int64(1000+i))
-		if err != nil {
-			t.Fatal(err)
-		}
-		reqs, err := Collect(cs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		all = append(all, reqs...)
-	}
-	SortByArrival(all)
-	for i := range all {
-		got, want := first[i], all[i]
-		got.ID, want.ID = 0, 0
-		if !reflect.DeepEqual(got, want) {
-			t.Fatalf("request %d: merge disagrees with sort", i)
-		}
-	}
-}
-
 // TestIsSortedByArrival covers the fast-path sortedness check.
 func TestIsSortedByArrival(t *testing.T) {
 	at := func(id int, s float64) Request { return Request{ID: id, Arrival: simtime.AtSeconds(s)} }
